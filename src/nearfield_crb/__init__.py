@@ -42,6 +42,7 @@ from .crb_analytic import (
     hspw_crb_theta0,
     hspw_fisher_from_sums,
     ratio_check,
+    sums_fisher,
     sw_crb_closed,
     sw_crb_theta0,
     sw_fisher_from_sums,

@@ -63,7 +63,10 @@ def d0_from_exponent(i: int, lam: float) -> float:
     """Subarray gap for integer gap exponent i: d0 = 2**i * lam / 2."""
     if not (isinstance(i, int) and i >= 0):
         raise InvalidLayout(f"gap exponent must be an integer >= 0, got {i!r}")
-    return (2.0 ** i) * lam / 2.0
+    try:
+        return (2.0 ** i) * lam / 2.0
+    except OverflowError:
+        raise InvalidLayout(f"gap exponent {i!r} overflows a float") from None
 
 
 def make_wsms(K: int, M: int, d: float, d0: float, lam: float) -> ArrayLayout:

@@ -77,9 +77,11 @@ def nu2(x: float, theta: float) -> float:
 
 
 def _artanh(z: float) -> float:
-    # half-log form; the abs() keeps the expression defined under rounding
-    # at |z| -> 1 even though the analytic argument never reaches it here
-    return 0.5 * math.log(abs((1.0 + z) / (1.0 - z)))
+    # The analytic arguments here satisfy |z| < 1, but for an aperture far
+    # wider than the range they round onto 1 (or overflow to NaN).
+    if not abs(z) < 1.0:
+        raise DomainError(f"artanh needs |z| < 1, got {z!r}")
+    return 0.5 * math.log((1.0 + z) / (1.0 - z))
 
 
 def _log_q_plus_u(x: float, theta: float) -> float:

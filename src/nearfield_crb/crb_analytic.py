@@ -7,8 +7,9 @@ The normalized (theta, r) Fisher block for the spherical-wave model is
     q22 = chi_nt/(r^2 cos^2 t) (s_r2/N - (s_r/N)^2)       + chi_nr phi_r^2
 
 with chi_nt = 4 pi^2 r^2 cos^2(theta)/lambda^2 the transmit curvature factor
-and chi_nr = pi^2 d_rx^2 (N_r^2 - 1)/(3 lambda^2) the receive aperture
-factor (phi_* are the arrival-angle sensitivities).  The hybrid model swaps
+and chi_nr = pi^2 d^2 (N_r^2 - 1)/(3 lambda^2) the receive aperture
+factor of an N_r-element receiver at the transmit spacing d (phi_* are the
+arrival-angle sensitivities).  The hybrid model swaps
 in the subarray-centre sums (N -> K) and adds the within-subarray planar
 term chi_m cos^2(theta) to q11 only, since a planar subarray carries angle
 but no range information.
@@ -41,7 +42,7 @@ from .fisher_core import (
     CrbResult,
     NormalizedFisher,
     bundle_crb,
-    crb,
+    crb_with_gain,
     received_gain_sq,
 )
 from .geometry import SceneGeometry, dsinphi_dr, dsinphi_dtheta
@@ -52,7 +53,7 @@ class ChiFactors:
     """Aperture prefactors of the Fisher assemblies."""
 
     chi_nt: float  # transmit curvature factor, 4 pi^2 r^2 cos^2(theta) / lambda^2
-    chi_nr: float  # receive factor, pi^2 d_rx^2 (N_r^2 - 1) / (3 lambda^2)
+    chi_nr: float  # receive factor, pi^2 d^2 (N_r^2 - 1) / (3 lambda^2)
     chi_m: float   # within-subarray planar factor, pi^2 d^2 (M^2 - 1) / (3 lambda^2)
     chi_k: float   # subarray-centre curvature factor (same form as chi_nt)
 
@@ -85,21 +86,19 @@ class LayoutComparison:
     dua: CrbResult
 
 
-def chi_factors(
-    layout: ArrayLayout, geom: SceneGeometry, n_r: int, d_rx: float | None = None
-) -> ChiFactors:
+def chi_factors(layout: ArrayLayout, geom: SceneGeometry, n_r: int) -> ChiFactors:
     lam = layout.lam
-    d_rx_eff = layout.d if d_rx is None else d_rx
     c = math.cos(geom.theta)
     curvature = 4.0 * math.pi ** 2 * geom.r ** 2 * c * c / lam ** 2
-    chi_nr = math.pi ** 2 * d_rx_eff ** 2 * (n_r ** 2 - 1) / (3.0 * lam ** 2)
+    chi_nr = math.pi ** 2 * layout.d ** 2 * (n_r ** 2 - 1) / (3.0 * lam ** 2)
     chi_m = math.pi ** 2 * layout.d ** 2 * (layout.M ** 2 - 1) / (3.0 * lam ** 2)
     return ChiFactors(chi_nt=curvature, chi_nr=chi_nr, chi_m=chi_m, chi_k=curvature)
 
 
 def _rx_sensitivities(geom: SceneGeometry, chi_nr: float):
-    # skip the arrival-angle derivatives entirely when the receive factor is
-    # zero (single receive element): they would needlessly constrain big_r
+    # a single receive element (zero receive factor) has no aperture, so its
+    # placement never enters: skip the arrival-angle derivatives, as
+    # fisher_core.rx_bundle does, rather than constrain big_r and vartheta
     if chi_nr == 0.0:
         return 0.0, 0.0
     return dsinphi_dtheta(geom), dsinphi_dr(geom)
@@ -148,14 +147,13 @@ def sw_fisher_from_sums(
     layout: ArrayLayout,
     geom: SceneGeometry,
     n_r: int,
-    d_rx: float | None = None,
 ) -> NormalizedFisher:
     """Spherical-wave normalized Fisher block from element-level sums."""
     if sums.n != layout.n_elements:
         raise DomainError(
             f"sums cover {sums.n} terms but the layout has {layout.n_elements} elements"
         )
-    chi = chi_factors(layout, geom, n_r, d_rx)
+    chi = chi_factors(layout, geom, n_r)
     phi_theta, phi_r = _rx_sensitivities(geom, chi.chi_nr)
     return _assemble(sums, chi.chi_nt, geom, chi.chi_nr, phi_theta, phi_r)
 
@@ -165,31 +163,40 @@ def hspw_fisher_from_sums(
     layout: ArrayLayout,
     geom: SceneGeometry,
     n_r: int,
-    d_rx: float | None = None,
 ) -> NormalizedFisher:
     """Hybrid normalized Fisher block from subarray-centre sums."""
     if sums.n != layout.K:
         raise DomainError(
             f"sums cover {sums.n} terms but the layout has {layout.K} subarrays"
         )
-    chi = chi_factors(layout, geom, n_r, d_rx)
+    chi = chi_factors(layout, geom, n_r)
     phi_theta, phi_r = _rx_sensitivities(geom, chi.chi_nr)
     planar = chi.chi_m * math.cos(geom.theta) ** 2
     return _assemble(sums, chi.chi_k, geom, chi.chi_nr, phi_theta, phi_r, planar_11=planar)
 
 
-def _finish(
-    nf: NormalizedFisher,
-    layout: ArrayLayout,
-    n_r: int,
-    alpha: complex,
-    sigma_n_sq: float,
-    beta_sq: float | None,
-    eps_det: float,
-) -> CrbResult:
-    if beta_sq is None:
-        beta_sq = received_gain_sq(alpha, n_r, layout.n_elements)
-    return crb(nf, beta_sq, sigma_n_sq, eps_det=eps_det)
+# (wave model, method) -> the sums that feed the model's assembly: "direct"
+# sums reproduce the bundle route, "riemann" sums are the closed forms.
+_SUMS = {
+    ("sw", "direct"): sw_sums_direct,
+    ("sw", "riemann"): sw_sums_riemann,
+    ("hspw", "direct"): hspw_sums_direct,
+    ("hspw", "riemann"): hspw_sums_closed,
+}
+
+
+def sums_fisher(
+    layout: ArrayLayout, geom: SceneGeometry, n_r: int, *, model: str, method: str
+) -> NormalizedFisher:
+    """Normalized Fisher block from the sums ``method`` gives for ``model``."""
+    if (model, method) not in _SUMS:
+        raise DomainError(
+            f"no sum formulas for model {model!r} with method {method!r} "
+            f"(expected one of {sorted(_SUMS)})"
+        )
+    sums = _SUMS[model, method](layout, geom)
+    assemble = sw_fisher_from_sums if model == "sw" else hspw_fisher_from_sums
+    return assemble(sums, layout, geom, n_r)
 
 
 def sw_crb_closed(
@@ -201,18 +208,10 @@ def sw_crb_closed(
     alpha: complex = 1.0 + 0.0j,
     sigma_n_sq: float = 1.0,
     beta_sq: float | None = None,
-    d_rx: float | None = None,
-    eps_det: float = 1e-18,
 ) -> CrbResult:
     """Spherical-wave bounds via the sum formulas (exact or closed form)."""
-    if method == "riemann":
-        sums = sw_sums_riemann(layout, geom)
-    elif method == "direct":
-        sums = sw_sums_direct(layout, geom)
-    else:
-        raise DomainError(f"unknown method {method!r} (expected 'riemann' or 'direct')")
-    nf = sw_fisher_from_sums(sums, layout, geom, n_r, d_rx)
-    return _finish(nf, layout, n_r, alpha, sigma_n_sq, beta_sq, eps_det)
+    nf = sums_fisher(layout, geom, n_r, model="sw", method=method)
+    return crb_with_gain(nf, layout, n_r, alpha, sigma_n_sq, beta_sq)
 
 
 def hspw_crb_closed(
@@ -224,18 +223,10 @@ def hspw_crb_closed(
     alpha: complex = 1.0 + 0.0j,
     sigma_n_sq: float = 1.0,
     beta_sq: float | None = None,
-    d_rx: float | None = None,
-    eps_det: float = 1e-18,
 ) -> CrbResult:
     """Hybrid-model bounds via the subarray-centre sums."""
-    if method == "riemann":
-        sums = hspw_sums_closed(layout, geom)
-    elif method == "direct":
-        sums = hspw_sums_direct(layout, geom)
-    else:
-        raise DomainError(f"unknown method {method!r} (expected 'riemann' or 'direct')")
-    nf = hspw_fisher_from_sums(sums, layout, geom, n_r, d_rx)
-    return _finish(nf, layout, n_r, alpha, sigma_n_sq, beta_sq, eps_det)
+    nf = sums_fisher(layout, geom, n_r, model="hspw", method=method)
+    return crb_with_gain(nf, layout, n_r, alpha, sigma_n_sq, beta_sq)
 
 
 def sw_crb_theta0(
@@ -246,8 +237,6 @@ def sw_crb_theta0(
     alpha: complex = 1.0 + 0.0j,
     sigma_n_sq: float = 1.0,
     beta_sq: float | None = None,
-    d_rx: float | None = None,
-    eps_det: float = 1e-18,
 ) -> CrbResult:
     """Broadside spherical-wave bounds from the two-point closed form.
 
@@ -257,9 +246,8 @@ def sw_crb_theta0(
     """
     if geom.theta != 0.0:
         raise DomainError(f"broadside form needs theta = 0, got {geom.theta!r}")
-    sums = sw_theta0_sums(layout, geom.r)
-    nf = sw_fisher_from_sums(sums, layout, geom, n_r, d_rx)
-    return _finish(nf, layout, n_r, alpha, sigma_n_sq, beta_sq, eps_det)
+    nf = sw_fisher_from_sums(sw_theta0_sums(layout, geom.r), layout, geom, n_r)
+    return crb_with_gain(nf, layout, n_r, alpha, sigma_n_sq, beta_sq)
 
 
 def hspw_crb_theta0(
@@ -267,25 +255,20 @@ def hspw_crb_theta0(
     geom: SceneGeometry,
     n_r: int,
     *,
-    psi0: float | None = None,
     alpha: complex = 1.0 + 0.0j,
     sigma_n_sq: float = 1.0,
     beta_sq: float | None = None,
-    d_rx: float | None = None,
-    eps_det: float = 1e-18,
 ) -> CrbResult:
-    """Broadside hybrid bounds parameterized by the aggregate span psi0.
+    """Broadside hybrid bounds through the layout's aggregate span.
 
-    psi0 defaults to the layout's own span 2 arctan(K big_d / (2 r)); passing
-    it explicitly supports span-limit studies.
+    The span is psi0 = 2 arctan(K big_d / (2 r)); ``hspw_crb_asymptotes``
+    gives its limits.
     """
     if geom.theta != 0.0:
         raise DomainError(f"broadside form needs theta = 0, got {geom.theta!r}")
-    if psi0 is None:
-        psi0 = 2.0 * math.atan(0.5 * layout.K * layout.big_d / geom.r)
-    sums = hspw_theta0_sums(layout.K, psi0)
-    nf = hspw_fisher_from_sums(sums, layout, geom, n_r, d_rx)
-    return _finish(nf, layout, n_r, alpha, sigma_n_sq, beta_sq, eps_det)
+    psi0 = 2.0 * math.atan(0.5 * layout.K * layout.big_d / geom.r)
+    nf = hspw_fisher_from_sums(hspw_theta0_sums(layout.K, psi0), layout, geom, n_r)
+    return crb_with_gain(nf, layout, n_r, alpha, sigma_n_sq, beta_sq)
 
 
 def hspw_crb_asymptotes(
@@ -296,7 +279,6 @@ def hspw_crb_asymptotes(
     alpha: complex = 1.0 + 0.0j,
     sigma_n_sq: float = 1.0,
     beta_sq: float | None = None,
-    d_rx: float | None = None,
 ) -> Theta0Asymptotes:
     """Limits of the broadside hybrid angle bound for extreme spans.
 
@@ -308,7 +290,7 @@ def hspw_crb_asymptotes(
     """
     if geom.theta != 0.0:
         raise DomainError(f"broadside form needs theta = 0, got {geom.theta!r}")
-    chi = chi_factors(layout, geom, n_r, d_rx)
+    chi = chi_factors(layout, geom, n_r)
     phi_theta, _ = _rx_sensitivities(geom, chi.chi_nr)
     rx_term = chi.chi_nr * phi_theta ** 2
     if beta_sq is None:
@@ -335,7 +317,6 @@ def ratio_check(
     factor: int = 2,
     alpha: complex = 1.0 + 0.0j,
     sigma_n_sq: float = 1.0,
-    d_rx: float | None = None,
 ) -> RatioCheck:
     """Verify the K*big_d scaling law on the closed-form route.
 
@@ -367,12 +348,9 @@ def ratio_check(
         else:
             sum_ratios[name] = a / b
 
-    crb_base = sw_crb_closed(
-        layout, geom, n_r, method="riemann", alpha=alpha, sigma_n_sq=sigma_n_sq, d_rx=d_rx
-    )
-    crb_scaled = sw_crb_closed(
-        scaled, geom, n_r, method="riemann", alpha=alpha, sigma_n_sq=sigma_n_sq, d_rx=d_rx
-    )
+    kw = dict(method="riemann", alpha=alpha, sigma_n_sq=sigma_n_sq)
+    crb_base = sw_crb_closed(layout, geom, n_r, **kw)
+    crb_scaled = sw_crb_closed(scaled, geom, n_r, **kw)
     return RatioCheck(
         factor=factor,
         sum_ratios=sum_ratios,
@@ -389,7 +367,6 @@ def compare_wsms_ua(
     *,
     alpha: complex = 1.0 + 0.0j,
     sigma_n_sq: float = 1.0,
-    d_rx: float | None = None,
 ) -> LayoutComparison:
     """Bounds for a widely spaced layout and its two uniform mirrors.
 
@@ -401,7 +378,7 @@ def compare_wsms_ua(
         raise InvalidLayout("comparison is defined for a widely spaced base layout")
     ua = make_ua(layout.K, layout.M, layout.d, layout.d0, layout.lam)
     dua = make_dua(layout.K, layout.M, layout.d, layout.lam)
-    kw = dict(alpha=alpha, sigma_n_sq=sigma_n_sq, d_rx=d_rx)
+    kw = dict(alpha=alpha, sigma_n_sq=sigma_n_sq)
     result = LayoutComparison(
         wsms=bundle_crb(layout, geom, n_r, model="sw", **kw),
         ua=bundle_crb(ua, geom, n_r, model="sw", **kw),

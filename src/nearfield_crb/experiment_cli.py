@@ -39,13 +39,8 @@ import numpy as np
 
 from . import validation
 from .array_layouts import ArrayLayout, d0_from_exponent, make_dua, make_ua, make_wsms
-from .closed_form import hspw_sums_closed, sw_sums_riemann
-from .crb_analytic import (
-    hspw_crb_asymptotes,
-    hspw_fisher_from_sums,
-    sw_fisher_from_sums,
-)
-from .errors import CrbEngineError, SingularFisher, error_code
+from .crb_analytic import hspw_crb_asymptotes, sums_fisher
+from .errors import CrbEngineError, DomainError, SingularFisher, error_code
 from .fisher_core import (
     bundle_fisher,
     crb,
@@ -202,14 +197,6 @@ def build_layout(cfg: ScenarioConfig) -> ArrayLayout:
     return make_dua(cfg.K, cfg.M, cfg.d, cfg.lam)
 
 
-def _normalized_fisher(cfg: ScenarioConfig, layout: ArrayLayout, geom: SceneGeometry):
-    if cfg.method == "direct":
-        return bundle_fisher(layout, geom, cfg.N_r, model=cfg.model)
-    if cfg.model == "sw":
-        return sw_fisher_from_sums(sw_sums_riemann(layout, geom), layout, geom, cfg.N_r)
-    return hspw_fisher_from_sums(hspw_sums_closed(layout, geom), layout, geom, cfg.N_r)
-
-
 def _evaluate(cfg: ScenarioConfig, layout: ArrayLayout, geom: SceneGeometry):
     """Dispatch one point; returns (crb_theta, crb_r, error_code)."""
     if cfg.method == "oracle":
@@ -217,19 +204,24 @@ def _evaluate(cfg: ScenarioConfig, layout: ArrayLayout, geom: SceneGeometry):
             layout, geom, cfg.N_r, model=cfg.model, alpha=cfg.alpha, sigma_n_sq=cfg.sigma_n_sq
         )
         return res.crb_theta, res.crb_r, ""
-    nf = _normalized_fisher(cfg, layout, geom)
+    if cfg.method == "direct":
+        nf = bundle_fisher(layout, geom, cfg.N_r, model=cfg.model)
+    else:
+        nf = sums_fisher(layout, geom, cfg.N_r, model=cfg.model, method=cfg.method)
     beta_sq = received_gain_sq(cfg.alpha, cfg.N_r, layout.n_elements)
     try:
         res = crb(nf, beta_sq, cfg.sigma_n_sq)
-    except SingularFisher:
+    except SingularFisher as singular:
         # Decoupled degeneracies keep the angle estimable: planar phases
         # carry no range curvature, and broadside K<=2 hybrid layouts lose
         # across-subarray range information identically.  Report the scalar
-        # angle bound and flag the missing range bound; genuinely coupled
-        # singular blocks stay errors.
-        if nf.q11 <= 0.0 or abs(nf.q12) > 1e-12 * abs(nf.q11):
-            raise
-        return crb_theta_only(nf, beta_sq, cfg.sigma_n_sq), None, "singular_fisher"
+        # angle bound and flag the missing range bound; a coupled singular
+        # block (crb_theta_only's DomainError) stays the pair's error.
+        try:
+            theta_only = crb_theta_only(nf, beta_sq, cfg.sigma_n_sq)
+        except DomainError:
+            raise singular from None
+        return theta_only, None, "singular_fisher"
     return res.crb_theta, res.crb_r, ""
 
 
@@ -275,7 +267,7 @@ def run_sweep(cfg: ScenarioConfig, axis: str, start: float, stop: float, steps: 
         grid = [float(v) for v in np.linspace(start, stop, steps)]
         return [run_point(replace(cfg, **{axis: v})) for v in grid]
     for v in (start, stop):
-        if v != int(v):
+        if not math.isfinite(v) or v != int(v):
             raise ConfigError(f"axis {axis!r} needs integer bounds, got {v!r}")
     lo, hi = int(start), int(stop)
     if lo > hi:

@@ -169,6 +169,11 @@ def rx_bundle(n_r: int, d_rx: float, lam: float, geom: SceneGeometry) -> Steerin
         raise DomainError(f"receiver size must be an integer >= 1, got {n_r!r}")
     if not (d_rx > 0.0 and lam > 0.0):
         raise DomainError("receiver spacing and wavelength must be positive")
+    if n_r == 1:
+        # one element has no aperture, so the receiver's placement (tilt,
+        # or a target at its centre) never enters the bound
+        zero = np.zeros(1, dtype=complex)
+        return SteeringBundle(np.ones(1, dtype=complex), zero, zero.copy(), "rx")
     if geom.vartheta != 0.0:
         raise DomainError("receive derivatives are defined for a broadside receiver only")
     rbar = rx_range(geom)
@@ -180,9 +185,6 @@ def rx_bundle(n_r: int, d_rx: float, lam: float, geom: SceneGeometry) -> Steerin
     offsets = (2.0 * j - n_r + 1.0) / 2.0 * d_rx
     k0 = 2.0 * math.pi / lam
     value = np.exp(1j * k0 * offsets * sinphi) / math.sqrt(n_r)
-    if n_r == 1:
-        zero = np.zeros_like(value)
-        return SteeringBundle(value, zero, zero.copy(), "rx")
     phase_rate = 1j * k0 * offsets
     d_theta = value * phase_rate * dsinphi_dtheta(geom)
     d_r = value * phase_rate * dsinphi_dr(geom)
@@ -217,6 +219,17 @@ def amfs(bundle: SteeringBundle) -> AmfSet:
 # of margin on each side.
 NOISE_FLOOR_MULT = 512.0
 
+# A (theta, r) block whose determinant is at or below this is singular.
+EPS_DET = 1e-18
+
+# A block is angle/range decoupled when |q12| <= DECOUPLED_REL_TOL * |q11|:
+# sum-formula routes give an exact 0.0, inner-product routes leave residue
+# around 1e-16 of q11.
+DECOUPLED_REL_TOL = 1e-12
+
+# Largest entry of (balanced Fisher) @ (its inverse) - I the oracle accepts.
+ORACLE_RESIDUAL_TOL = 1e-6
+
 _EPS = float(np.finfo(float).eps)
 
 
@@ -242,29 +255,28 @@ def received_gain_sq(alpha: complex, n_r: int, n_t: int) -> float:
     return abs(alpha) ** 2 * n_r * n_t
 
 
-def crb(
-    nf: NormalizedFisher,
-    beta_sq: float,
-    sigma_n_sq: float,
-    eps_det: float = 1e-18,
-) -> CrbResult:
-    """Angle and range bounds from the normalized Fisher block."""
+def crb(nf: NormalizedFisher, beta_sq: float, sigma_n_sq: float) -> CrbResult:
+    """Angle and range bounds from the normalized Fisher block.
+
+    The comparisons are written so that a NaN entry fails them: a block
+    that overflowed is singular, not a NaN bound.
+    """
     if not beta_sq > 0.0:
         raise DomainError(f"beta_sq must be positive, got {beta_sq!r}")
     if not sigma_n_sq > 0.0:
         raise DomainError(f"sigma_n_sq must be positive, got {sigma_n_sq!r}")
-    if nf.q11 <= nf.q11_floor:
+    if not nf.q11 > nf.q11_floor:
         raise SingularFisher(
             f"theta information is at the round-off floor (q11 = {nf.q11!r})",
             det=nf.det,
         )
-    if nf.q22 <= nf.q22_floor:
+    if not nf.q22 > nf.q22_floor:
         raise SingularFisher(
             f"range information is at the round-off floor (q22 = {nf.q22!r})",
             det=nf.det,
         )
     det = nf.det
-    if det <= eps_det:
+    if not det > EPS_DET:
         raise SingularFisher(
             f"(theta, r) Fisher block is singular (det = {det!r})", det=det
         )
@@ -272,23 +284,31 @@ def crb(
     return CrbResult(crb_theta=pref * nf.q22 / det, crb_r=pref * nf.q11 / det)
 
 
-def crb_theta_only(
+def crb_with_gain(
     nf: NormalizedFisher,
-    beta_sq: float,
+    layout: ArrayLayout,
+    n_r: int,
+    alpha: complex,
     sigma_n_sq: float,
-    *,
-    q12_rel_tol: float = 1e-12,
-) -> float:
+    beta_sq: float | None,
+) -> CrbResult:
+    """Bounds at the gain beta_sq, or at the gain alpha gives when it is None."""
+    if beta_sq is None:
+        beta_sq = received_gain_sq(alpha, n_r, layout.n_elements)
+    return crb(nf, beta_sq, sigma_n_sq)
+
+
+def crb_theta_only(nf: NormalizedFisher, beta_sq: float, sigma_n_sq: float) -> float:
     """Angle bound when the block is angle/range decoupled.
 
     Broadside and planar-wave scenarios can zero the range information
     entirely (q12 = 0 with q22 = 0): the pair bound does not exist, but the
     angle stays estimable and its bound is the scalar inverse.  Decoupling
-    must hold at round-off scale relative to q11 (sum-formula routes give an
-    exact 0.0; inner-product routes leave residue around 1e-16 of q11), so
-    that this never silently mis-handles a genuinely coupled block.
+    must hold at round-off scale relative to q11 (``DECOUPLED_REL_TOL``), so
+    that this never silently mis-handles a genuinely coupled block; a
+    coupled block raises DomainError.
     """
-    if abs(nf.q12) > q12_rel_tol * abs(nf.q11):
+    if abs(nf.q12) > DECOUPLED_REL_TOL * abs(nf.q11):
         raise DomainError(
             f"theta-only bound needs a decoupled block, got q12 = {nf.q12!r} "
             f"with q11 = {nf.q11!r}"
@@ -297,7 +317,7 @@ def crb_theta_only(
         raise DomainError(f"beta_sq must be positive, got {beta_sq!r}")
     if not sigma_n_sq > 0.0:
         raise DomainError(f"sigma_n_sq must be positive, got {sigma_n_sq!r}")
-    if nf.q11 <= nf.q11_floor:
+    if not nf.q11 > nf.q11_floor:
         raise SingularFisher(
             f"theta information is at the round-off floor (q11 = {nf.q11!r})",
             det=nf.q11,
@@ -317,29 +337,20 @@ def bundle_crb(
     alpha: complex = 1.0 + 0.0j,
     sigma_n_sq: float = 1.0,
     beta_sq: float | None = None,
-    d_rx: float | None = None,
-    eps_det: float = 1e-18,
 ) -> CrbResult:
     """First-principles bounds via the steering bundles (the exact route)."""
-    nf = bundle_fisher(layout, geom, n_r, model=model, d_rx=d_rx)
-    if beta_sq is None:
-        beta_sq = received_gain_sq(alpha, n_r, layout.n_elements)
-    return crb(nf, beta_sq, sigma_n_sq, eps_det=eps_det)
+    nf = bundle_fisher(layout, geom, n_r, model=model)
+    return crb_with_gain(nf, layout, n_r, alpha, sigma_n_sq, beta_sq)
 
 
 def bundle_fisher(
-    layout: ArrayLayout,
-    geom: SceneGeometry,
-    n_r: int,
-    *,
-    model: str = "sw",
-    d_rx: float | None = None,
+    layout: ArrayLayout, geom: SceneGeometry, n_r: int, *, model: str = "sw"
 ) -> NormalizedFisher:
     """Normalized Fisher block assembled from the steering bundles."""
     if model not in _TX_BUNDLES:
         raise DomainError(f"unknown wave model {model!r}")
     tx = _TX_BUNDLES[model](layout, geom)
-    rx = rx_bundle(n_r, layout.d if d_rx is None else d_rx, layout.lam, geom)
+    rx = rx_bundle(n_r, layout.d, layout.lam, geom)
     return normalized_fisher(amfs(composite_bundle(tx, rx)))
 
 
@@ -352,9 +363,7 @@ def full_fisher_oracle(
     alpha: complex = 1.0 + 0.0j,
     sigma_n_sq: float = 1.0,
     fd_step: float = 1e-6,
-    d_rx: float | None = None,
     training: str = "implicit",
-    residual_tol: float = 1e-6,
 ) -> OracleResult:
     """Independent 4x4 Fisher oracle built from finite differences.
 
@@ -371,7 +380,6 @@ def full_fisher_oracle(
         raise DomainError(f"unknown wave model {model!r}")
     if training not in ("implicit", "dft"):
         raise DomainError(f"unknown training map {training!r}")
-    d_rx_eff = layout.d if d_rx is None else d_rx
     n_t = layout.n_elements
     if training == "dft":
         unitary = np.fft.fft(np.eye(n_t)) / math.sqrt(n_t)
@@ -381,7 +389,7 @@ def full_fisher_oracle(
     def hvec(theta: float, r: float) -> np.ndarray:
         g = replace(geom, theta=theta, r=r)
         tx = _TX_BUNDLES[model](layout, g).value
-        rx = rx_bundle(n_r, d_rx_eff, layout.lam, g).value
+        rx = rx_bundle(n_r, layout.d, layout.lam, g).value
         mapped = np.conj(tx) if unitary is None else unitary.T @ np.conj(tx)
         return np.kron(mapped, rx)
 
@@ -423,9 +431,9 @@ def full_fisher_oracle(
     balanced_inv = tri_inv @ tri_inv.T
     covariance = balanced_inv * scale[:, None] * scale[None, :]
     residual = float(np.max(np.abs(balanced @ balanced_inv - np.eye(4))))
-    if residual > residual_tol:
+    if residual > ORACLE_RESIDUAL_TOL:
         raise IllConditioned(
-            f"oracle inversion residual {residual:.3e} exceeds {residual_tol:.1e}"
+            f"oracle inversion residual {residual:.3e} exceeds {ORACLE_RESIDUAL_TOL:.1e}"
         )
     alpha_cross = float(fisher[2, 3] / fisher[2, 2])
     return OracleResult(

@@ -28,11 +28,10 @@ from .crb_analytic import (
     hspw_crb_asymptotes,
     hspw_crb_closed,
     hspw_crb_theta0,
-    hspw_fisher_from_sums,
     ratio_check,
+    sums_fisher,
     sw_crb_closed,
     sw_crb_theta0,
-    sw_fisher_from_sums,
 )
 from .errors import SingularityNearPi2
 from .fisher_core import (
@@ -50,7 +49,6 @@ from .fisher_core import (
 from .geometry import (
     SceneGeometry,
     aoa_from_geometry,
-    angular_spans,
     dsinphi_dr,
     dsinphi_dtheta,
     psi_from_x,
@@ -249,8 +247,6 @@ def check_steering_derivatives() -> CheckOutcome:
 def check_planar_limit() -> CheckOutcome:
     """Spherical phases converge to planar phases as r grows (fixed aperture)."""
     lay = _std_layout(2, 8, 3)
-    from .array_layouts import aperture
-
     ap = aperture(lay)
     theta = 0.4
     devs = []
@@ -390,14 +386,11 @@ def check_assembly_equals_bundles() -> CheckOutcome:
     for k, m, i, r, theta, big_r, n_r in cases:
         lay = _std_layout(k, m, i)
         geom = SceneGeometry(r=r, theta=theta, big_r=big_r)
-        by_bundle = bundle_fisher(lay, geom, n_r, model="sw")
-        by_sums = sw_fisher_from_sums(cf.sw_sums_direct(lay, geom), lay, geom, n_r)
-        for attr in ("q11", "q12", "q22"):
-            worst = max(worst, _rel(getattr(by_bundle, attr), getattr(by_sums, attr)))
-        by_bundle_h = bundle_fisher(lay, geom, n_r, model="hspw")
-        by_sums_h = hspw_fisher_from_sums(cf.hspw_sums_direct(lay, geom), lay, geom, n_r)
-        for attr in ("q11", "q12", "q22"):
-            worst = max(worst, _rel(getattr(by_bundle_h, attr), getattr(by_sums_h, attr)))
+        for model in ("sw", "hspw"):
+            by_bundle = bundle_fisher(lay, geom, n_r, model=model)
+            by_sums = sums_fisher(lay, geom, n_r, model=model, method="direct")
+            for attr in ("q11", "q12", "q22"):
+                worst = max(worst, _rel(getattr(by_bundle, attr), getattr(by_sums, attr)))
     return CheckOutcome(
         "sum_assembly_equals_bundles",
         worst <= 1e-6,

@@ -102,6 +102,12 @@ def test_d0_from_exponent():
         d0_from_exponent(1.5, LAM)
 
 
+def test_d0_from_exponent_overflow_is_invalid_layout():
+    assert math.isfinite(d0_from_exponent(1023, LAM))
+    with pytest.raises(InvalidLayout):
+        d0_from_exponent(1100, LAM)
+
+
 def test_dua_is_contiguous_half_wave_grid():
     lay = make_dua(3, 4, D_HALF, LAM)
     pos = element_positions(lay)

@@ -3,16 +3,36 @@
 import csv
 import io
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from nearfield_crb import (
+    SceneGeometry,
+    bundle_crb,
+    bundle_fisher,
+    crb_theta_only,
+    hspw_crb_closed,
+    received_gain_sq,
+    sw_crb_closed,
+)
 from nearfield_crb.errors import (
     IllConditioned,
     SingularFisher,
     SingularityNearPi2,
     error_code,
 )
-from nearfield_crb.experiment_cli import CSV_COLUMNS, format_cell, main
+from nearfield_crb.experiment_cli import (
+    CSV_COLUMNS,
+    METHODS,
+    ScenarioConfig,
+    build_layout,
+    format_cell,
+    main,
+    run_point,
+    run_sweep,
+)
 
 
 def run_cli(capsys, argv):
@@ -252,3 +272,102 @@ def test_error_code_names():
     assert error_code(SingularFisher("x")) == "singular_fisher"
     assert error_code(SingularityNearPi2("x")) == "singularity_near_pi2"
     assert error_code(IllConditioned("x")) == "ill_conditioned"
+
+
+# A well-conditioned scene with a non-unit gain and noise power.
+ROUTE_SCENE = ScenarioConfig(K=3, M=16, I=4, R=50.0, r=2.0, theta=0.4,
+                             snr_db=3.0, alpha=0.5 + 0.25j)
+CLOSED = {"sw": sw_crb_closed, "hspw": hspw_crb_closed}
+
+
+@pytest.mark.parametrize("n_r", [1, 4])
+@pytest.mark.parametrize("model, method", [
+    ("sw", "direct"), ("sw", "riemann"), ("hspw", "direct"), ("hspw", "riemann"), ("pw", "direct"),
+])
+def test_run_point_matches_library_route(model, method, n_r):
+    cfg = replace(ROUTE_SCENE, model=model, method=method, N_r=n_r)
+    row = run_point(cfg)
+    lay = build_layout(cfg)
+    geom = SceneGeometry(r=cfg.r, theta=cfg.theta, big_r=cfg.R)
+    kw = dict(alpha=cfg.alpha, sigma_n_sq=cfg.sigma_n_sq)
+    try:
+        if method == "direct":
+            ref = bundle_crb(lay, geom, n_r, model=model, **kw)
+        else:
+            ref = CLOSED[model](lay, geom, n_r, method=method, **kw)
+        want = (ref.crb_theta, ref.crb_r, "")
+    except SingularFisher:
+        # a single element leaves the planar model range-blind: the angle
+        # bound is the scalar inverse
+        assert (model, n_r) == ("pw", 1)
+        beta_sq = received_gain_sq(cfg.alpha, n_r, lay.n_elements)
+        nf = bundle_fisher(lay, geom, n_r, model=model)
+        want = (crb_theta_only(nf, beta_sq, cfg.sigma_n_sq), None, "singular_fisher")
+    assert (row["crb_theta_rad2"], row["crb_r_m2"], row["error_code"]) == want
+
+
+# (scene, the same scene with the receiver elsewhere, code per method)
+SINGLE_RX_SCENES = [
+    (dict(theta=0.5, vartheta=0.1), dict(theta=0.5), {}),
+    (dict(theta=0.0, r=10.0, R=10.0), dict(theta=0.0, r=10.0, R=50.0), {}),
+    # far-field broadside: the oracle's 4x4 inversion fails its residual
+    # check whatever the receiver placement
+    (dict(theta=0.0, r=50.0, R=50.0), dict(theta=0.0, r=50.0, R=80.0),
+     {"oracle": "ill_conditioned"}),
+]
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("scene, moved, codes", SINGLE_RX_SCENES)
+def test_single_element_receiver_placement_never_enters(method, scene, moved, codes):
+    # a tilted receiver, or a target at the receiver centre, changes nothing
+    # for N_r = 1 on every route
+    row = run_point(ScenarioConfig(method=method, **scene))
+    ref = run_point(ScenarioConfig(method=method, **moved))
+    cells = ("crb_theta_rad2", "crb_r_m2", "error_code")
+    assert [row[c] for c in cells] == [ref[c] for c in cells]
+    assert row["error_code"] == codes.get(method, "")
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_tilted_receiver_aperture_is_a_domain_error(method):
+    row = run_point(ScenarioConfig(N_r=4, theta=0.5, vartheta=0.1, method=method))
+    assert row["error_code"] == "domain_error"
+    assert row["crb_theta_rad2"] is None
+
+
+@pytest.mark.parametrize("model, method", [("hspw", "direct"), ("sw", "riemann")])
+def test_overflowed_block_is_singular_not_nan(model, method):
+    # at I = 600 the subarray gap is ~1e178 m and the Fisher entries turn NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        row = run_point(ScenarioConfig(model=model, method=method, I=600, theta=0.3))
+    assert row["error_code"] == "singular_fisher"
+    assert row["crb_theta_rad2"] is None and row["crb_r_m2"] is None
+
+
+@pytest.mark.parametrize("model, n_domain, n_singular", [("sw", 8, 1), ("hspw", 7, 0)])
+def test_closed_form_gap_sweep_never_aborts(model, n_domain, n_singular):
+    cfg = ScenarioConfig(model=model, method="riemann", theta=0.3)
+    rows = run_sweep(cfg, "I", 0, 45, 25)
+    codes = [row["error_code"] for row in rows]
+    assert len(rows) == 46
+    assert codes.count("domain_error") == n_domain
+    assert codes.count("singular_fisher") == n_singular
+    assert codes.count("") == 46 - n_domain - n_singular
+    assert all(row["crb_r_m2"] > 0.0 for row in rows if not row["error_code"])
+
+
+@pytest.mark.parametrize("axis, start, stop", [("K", "1", "inf"), ("I", "nan", "3")])
+def test_sweep_rejects_non_finite_integer_bounds(capsys, axis, start, stop):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", *DESK, "--axis", axis, "--start", start, "--stop", stop])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def test_overflowing_gap_exponent_is_an_error_row(capsys):
+    code, out = run_cli(capsys, ["crb", "--I", "1100"])
+    assert code == 1
+    row = parse_rows(out)[0]
+    assert row["error_code"] == "invalid_layout"
+    assert row["crb_theta_rad2"] == ""

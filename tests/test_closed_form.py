@@ -332,6 +332,15 @@ def test_broadside_specializations_match_general_forms():
             assert math.isclose(g, e, rel_tol=1e-11, abs_tol=1e-15)
 
 
+def test_artanh_argument_rounding_onto_one_is_a_domain_error():
+    # analytically (x - sin theta) / sqrt(nu1) < 1, but at x = 1e9 it
+    # rounds to 1
+    with pytest.raises(DomainError):
+        f_x_over_sqrt_nu1(1e9, 0.3)
+    with pytest.raises(DomainError):
+        f_artanh_shift(1e9, 0.3)
+
+
 def test_hspw_theta0_sums_domain():
     with pytest.raises(DomainError):
         hspw_theta0_sums(2, 0.0)

@@ -26,6 +26,7 @@ from nearfield_crb.closed_form import hspw_sums_direct, sw_sums_direct
 from nearfield_crb.crb_analytic import (
     chi_factors,
     hspw_fisher_from_sums,
+    sums_fisher,
     sw_fisher_from_sums,
 )
 from nearfield_crb.fisher_core import NOISE_FLOOR_MULT
@@ -227,3 +228,13 @@ def test_asymptotes_reject_off_broadside():
     lay = std_wsms(2, 16, 3)
     with pytest.raises(DomainError):
         hspw_crb_asymptotes(lay, SceneGeometry(r=10.0, theta=0.2, big_r=50.0), 12)
+
+
+@pytest.mark.parametrize("model, method", [
+    ("pw", "riemann"), ("pw", "direct"), ("sw", "simpson"), ("hspw", "oracle"),
+])
+def test_sums_table_rejects_unknown_pairs(model, method):
+    lay = std_wsms(3, 4, 2)
+    geom = SceneGeometry(r=4.0, theta=0.35, big_r=50.0)
+    with pytest.raises(DomainError, match="no sum formulas"):
+        sums_fisher(lay, geom, 1, model=model, method=method)

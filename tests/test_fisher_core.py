@@ -204,6 +204,18 @@ def test_crb_theta_only_scalar_inverse():
     assert crb_theta_only(residue, 1.0, 1.0) > 0.0
 
 
+def test_nan_block_is_singular():
+    # an overflowed assembly yields NaN entries; no comparison may let them
+    # through as a bound
+    nan = float("nan")
+    with pytest.raises(SingularFisher):
+        crb(NormalizedFisher(q11=nan, q12=nan, q22=nan), 1.0, 1.0)
+    with pytest.raises(SingularFisher):
+        crb(NormalizedFisher(q11=5.0, q12=0.0, q22=nan), 1.0, 1.0)
+    with pytest.raises(SingularFisher):
+        crb_theta_only(NormalizedFisher(q11=nan, q12=0.0, q22=nan), 1.0, 1.0)
+
+
 def test_received_gain_sq():
     assert received_gain_sq(1.0 + 0.0j, 2, 6) == 12.0
     assert math.isclose(received_gain_sq(0.5 - 0.5j, 3, 4), 0.5 * 12.0, rel_tol=1e-15)
