@@ -15,6 +15,14 @@ the receive side is a uniform line array pointed by the arrival angle.  The
 composite vector is kron(conj(tx), rx), matching ideal training (any unitary
 training map leaves all the inner products below unchanged; the oracle can
 check that explicitly).
+
+The bundle route never builds that length N_t*N_r vector: ``amfs`` takes
+each composite inner product factor by factor, as sums of products of
+transmit-side and receive-side inner products (the mixed-product rule
+<a (x) b, c (x) d> = <a, c><b, d>), at O(N_t + N_r) cost.
+``composite_bundle`` builds the explicit vector for the checks that inspect
+it, and ``full_fisher_oracle`` alone builds it on a bound's path, since it is
+the independent check.
 """
 
 from __future__ import annotations
@@ -109,7 +117,12 @@ class OracleResult:
 
 
 def _element_distances(n: np.ndarray, r: float, theta: float) -> np.ndarray:
-    rnt = r * r - 2.0 * n * r * math.sin(theta) + n * n
+    with np.errstate(over="ignore"):
+        rnt = r * r - 2.0 * n * r * math.sin(theta) + n * n
+    if not np.all(np.isfinite(rnt)):
+        # an aperture beyond ~1e154 m: every phase and derivative would be
+        # inf or NaN, so the block carries no information
+        raise SingularFisher("element distances overflow: the aperture is too wide")
     if np.any(rnt <= 0.0):
         raise ElementCoincidence("target coincides with an array element")
     return np.sqrt(rnt)
@@ -199,15 +212,43 @@ def composite_bundle(tx: SteeringBundle, rx: SteeringBundle) -> SteeringBundle:
     return SteeringBundle(value, d_theta, d_r, "composite")
 
 
-def amfs(bundle: SteeringBundle) -> AmfSet:
-    """Inner products of a bundle with itself and its derivatives."""
+# Each composite vector of ``composite_bundle`` as a sum of Kronecker terms
+# conj(tx[a]) (x) rx[b], with a and b indexing (value, d_theta, d_r).
+_COMPOSITE_TERMS = {
+    "value": ((0, 0),),
+    "d_theta": ((1, 0), (0, 1)),
+    "d_r": ((2, 0), (0, 2)),
+}
+
+
+def _gram(bundle: SteeringBundle) -> list[list[complex]]:
+    vecs = (bundle.value, bundle.d_theta, bundle.d_r)
+    return [[np.vdot(u, w) for w in vecs] for u in vecs]
+
+
+def amfs(tx: SteeringBundle, rx: SteeringBundle) -> AmfSet:
+    """Inner products of the composite bundle kron(conj(tx), rx), factor by factor.
+
+    vdot(conj(a) (x) b, conj(c) (x) d) = vdot(c, a) * vdot(b, d), so each
+    entry is a short sum of products of transmit-side and receive-side
+    inner products; no vector of length N_t*N_r is formed.
+    """
+    g_tx, g_rx = _gram(tx), _gram(rx)
+
+    def dot(u: str, w: str) -> complex:
+        return sum(
+            g_tx[c][a] * g_rx[b][d]
+            for a, b in _COMPOSITE_TERMS[u]
+            for c, d in _COMPOSITE_TERMS[w]
+        )
+
     return AmfSet(
-        htheta_sq=float(np.vdot(bundle.d_theta, bundle.d_theta).real),
-        hr_sq=float(np.vdot(bundle.d_r, bundle.d_r).real),
-        h_sq=float(np.vdot(bundle.value, bundle.value).real),
-        htheta_h=complex(np.vdot(bundle.d_theta, bundle.value)),
-        hr_h=complex(np.vdot(bundle.d_r, bundle.value)),
-        htheta_hr=complex(np.vdot(bundle.d_theta, bundle.d_r)),
+        htheta_sq=float(dot("d_theta", "d_theta").real),
+        hr_sq=float(dot("d_r", "d_r").real),
+        h_sq=float(dot("value", "value").real),
+        htheta_h=complex(dot("d_theta", "value")),
+        hr_h=complex(dot("d_r", "value")),
+        htheta_hr=complex(dot("d_theta", "d_r")),
     )
 
 
@@ -351,7 +392,7 @@ def bundle_fisher(
         raise DomainError(f"unknown wave model {model!r}")
     tx = _TX_BUNDLES[model](layout, geom)
     rx = rx_bundle(n_r, layout.d, layout.lam, geom)
-    return normalized_fisher(amfs(composite_bundle(tx, rx)))
+    return normalized_fisher(amfs(tx, rx))
 
 
 def full_fisher_oracle(

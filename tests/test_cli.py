@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -342,6 +343,20 @@ def test_overflowed_block_is_singular_not_nan(model, method):
     with np.errstate(over="ignore", invalid="ignore"):
         row = run_point(ScenarioConfig(model=model, method=method, I=600, theta=0.3))
     assert row["error_code"] == "singular_fisher"
+    assert row["crb_theta_rad2"] is None and row["crb_r_m2"] is None
+
+
+@pytest.mark.parametrize(
+    "model, code", [("sw", "element_coincidence"), ("hspw", "singular_fisher")]
+)
+def test_overflowing_aperture_is_rejected_before_any_exp(model, code):
+    # no errstate: at I = 600 the subarray gap is ~1e178 m.  The sw element
+    # offsets vanish against it first; the hspw centre distances overflow when
+    # squared, and the bundle route must reject them without a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        row = run_point(ScenarioConfig(model=model, method="direct", I=600, theta=0.3))
+    assert row["error_code"] == code
     assert row["crb_theta_rad2"] is None and row["crb_r_m2"] is None
 
 

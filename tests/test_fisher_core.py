@@ -1,6 +1,7 @@
 """Steering bundles, Schur-complement bounds, and the finite-difference oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,6 +130,52 @@ def test_pw_bundle_has_no_range_sensitivity():
     lay = std_wsms(3, 4, 2)
     bundle = pw_tx_bundle(lay, SceneGeometry(r=2.0, theta=0.3, big_r=20.0))
     assert np.all(bundle.d_r == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# composite inner products, factor by factor
+# ---------------------------------------------------------------------------
+
+TX_BUNDLES = {"sw": sw_tx_bundle, "hspw": hspw_tx_bundle, "pw": pw_tx_bundle}
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3, -1.1])
+@pytest.mark.parametrize("n_r", [1, 4, 35])
+@pytest.mark.parametrize("model", ["sw", "hspw", "pw"])
+def test_factored_amfs_match_explicit_composite(model, n_r, theta):
+    lay = std_wsms(3, 8, 2)
+    geom = SceneGeometry(r=1.5, theta=theta, big_r=20.0)
+    tx = TX_BUNDLES[model](lay, geom)
+    rx = rx_bundle(n_r, lay.d, lay.lam, geom)
+    comp = composite_bundle(tx, rx)
+    got = amfs(tx, rx)
+    entries = {
+        "htheta_sq": (comp.d_theta, comp.d_theta),
+        "hr_sq": (comp.d_r, comp.d_r),
+        "h_sq": (comp.value, comp.value),
+        "htheta_h": (comp.d_theta, comp.value),
+        "hr_h": (comp.d_r, comp.value),
+        "htheta_hr": (comp.d_theta, comp.d_r),
+    }
+    for name, (u, w) in entries.items():
+        # Cauchy-Schwarz bounds each entry by |u||w|: the scale of its round-off
+        scale = np.linalg.norm(u) * np.linalg.norm(w)
+        assert abs(getattr(got, name) - np.vdot(u, w)) <= 1e-13 * scale, name
+
+
+@pytest.mark.parametrize("model", ["sw", "hspw", "pw"])
+def test_bundle_fisher_allocates_no_composite_vector(model):
+    # one composite vector at K=48, M=256, N_r=256 holds 3.1 M complex
+    # entries (50 MB); the per-side bundles need well under 1 MB each
+    lay = std_wsms(48, 256, 3)
+    geom = SceneGeometry(r=10.0, theta=0.3, big_r=50.0)
+    tracemalloc.start()
+    try:
+        bundle_fisher(lay, geom, 256, model=model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 # ---------------------------------------------------------------------------
