@@ -8,7 +8,7 @@ everything the spherical-wave Fisher block needs:
     s_r2     = sum (x s - 1)^2 / nu1  s_thetar = sum x (x s - 1) / nu1
 
 with nu1 = 1 - 2 x sin(theta) + x^2 and s = sin(theta).  The "direct"
-functions evaluate them exactly (compensated summation, so the odd sums
+functions evaluate them exactly (exactly rounded summation, so the odd sums
 vanish exactly on broadside).  The "riemann" / "closed" functions treat each
 sum as a midpoint Riemann approximation of an integral over the aperture and
 evaluate antiderivatives at the partition edges: for the element-level sums
@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .array_layouts import ArrayLayout, element_positions, subarray_centers
 from .errors import DomainError, SingularityNearPi2
@@ -203,42 +205,36 @@ def g_theta2_psi0(psi: float) -> float:
 # direct (exact) sums
 # ---------------------------------------------------------------------------
 
-def _direct_sums(xs, theta: float) -> SumFormulas:
+def _direct_sums(x: np.ndarray, theta: float) -> SumFormulas:
+    """The five sums over the normalized offsets x, each exactly rounded.
+
+    Every term is formed with the scalar operations of ``nu1`` in the same
+    order, and numpy rounds each of them correctly, so the terms are the
+    ones a per-element loop would give; ``math.fsum`` rounds each sum of
+    them exactly, whatever their order.  Broadside odd sums are therefore
+    exact zeros.  Like scalar float arithmetic, the terms overflow to inf or
+    NaN silently.
+    """
     s = math.sin(theta)
-    terms_t2, terms_t, terms_r, terms_r2, terms_tr = [], [], [], [], []
-    n = 0
-    for x in xs:
-        v = nu1(x, theta)
-        if v <= 0.0:
-            raise DomainError(f"nu1 <= 0 at x = {x!r}, theta = {theta!r}")
-        q = math.sqrt(v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = 1.0 - 2.0 * x * s + x * x
+        bad = np.flatnonzero(v <= 0.0)
+        if bad.size:
+            raise DomainError(f"nu1 <= 0 at x = {float(x[bad[0]])!r}, theta = {theta!r}")
+        q = np.sqrt(v)
         u = x * s - 1.0
-        terms_t2.append(x * x / v)
-        terms_t.append(x / q)
-        terms_r.append(u / q)
-        terms_r2.append(u * u / v)
-        terms_tr.append(x * u / v)
-        n += 1
-    return SumFormulas(
-        s_theta2=math.fsum(terms_t2),
-        s_theta=math.fsum(terms_t),
-        s_r=math.fsum(terms_r),
-        s_r2=math.fsum(terms_r2),
-        s_thetar=math.fsum(terms_tr),
-        n=n,
-    )
+        terms = (x * x / v, x / q, u / q, u * u / v, x * u / v)
+    return SumFormulas(*(math.fsum(t.tolist()) for t in terms), n=x.size)
 
 
 def sw_sums_direct(layout: ArrayLayout, geom: SceneGeometry) -> SumFormulas:
     """Exact element-level sums for the spherical-wave model."""
-    xs = element_positions(layout) / geom.r
-    return _direct_sums(xs.tolist(), geom.theta)
+    return _direct_sums(element_positions(layout) / geom.r, geom.theta)
 
 
 def hspw_sums_direct(layout: ArrayLayout, geom: SceneGeometry) -> SumFormulas:
     """Exact subarray-centre sums for the hybrid spherical/planar model."""
-    xs = subarray_centers(layout) / geom.r
-    return _direct_sums(xs.tolist(), geom.theta)
+    return _direct_sums(subarray_centers(layout) / geom.r, geom.theta)
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,11 @@ class OracleResult:
     inversion_residual: float
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of two vectors: their outer product, row by row."""
+    return np.multiply.outer(a, b).ravel()
+
+
 def _element_distances(n: np.ndarray, r: float, theta: float) -> np.ndarray:
     with np.errstate(over="ignore"):
         rnt = r * r - 2.0 * n * r * math.sin(theta) + n * n
@@ -170,9 +175,9 @@ def hspw_tx_bundle(layout: ArrayLayout, geom: SceneGeometry) -> SteeringBundle:
     a = np.exp(1j * k0 * offsets * math.sin(geom.theta)) / math.sqrt(layout.M)
     a_theta = a * (1j * k0 * offsets * math.cos(geom.theta))
 
-    value = np.kron(w, a)
-    d_theta = np.kron(w_theta, a) + np.kron(w, a_theta)
-    d_r = np.kron(w_r, a)
+    value = _kron(w, a)
+    d_theta = _kron(w_theta, a) + _kron(w, a_theta)
+    d_r = _kron(w_r, a)
     return SteeringBundle(value, d_theta, d_r, "hspw")
 
 
@@ -206,9 +211,9 @@ def rx_bundle(n_r: int, d_rx: float, lam: float, geom: SceneGeometry) -> Steerin
 
 def composite_bundle(tx: SteeringBundle, rx: SteeringBundle) -> SteeringBundle:
     """Normalized end-to-end vector kron(conj(tx), rx) with derivatives."""
-    value = np.kron(np.conj(tx.value), rx.value)
-    d_theta = np.kron(np.conj(tx.d_theta), rx.value) + np.kron(np.conj(tx.value), rx.d_theta)
-    d_r = np.kron(np.conj(tx.d_r), rx.value) + np.kron(np.conj(tx.value), rx.d_r)
+    value = _kron(np.conj(tx.value), rx.value)
+    d_theta = _kron(np.conj(tx.d_theta), rx.value) + _kron(np.conj(tx.value), rx.d_theta)
+    d_r = _kron(np.conj(tx.d_r), rx.value) + _kron(np.conj(tx.value), rx.d_r)
     return SteeringBundle(value, d_theta, d_r, "composite")
 
 
@@ -432,7 +437,7 @@ def full_fisher_oracle(
         tx = _TX_BUNDLES[model](layout, g).value
         rx = rx_bundle(n_r, layout.d, layout.lam, g).value
         mapped = np.conj(tx) if unitary is None else unitary.T @ np.conj(tx)
-        return np.kron(mapped, rx)
+        return _kron(mapped, rx)
 
     d_theta_step = fd_step
     d_r_step = fd_step * geom.r

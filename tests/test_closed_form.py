@@ -3,10 +3,19 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from conftest import brute_sums, layout_shapes, richardson_diff, seeded, std_wsms
+from conftest import (
+    D_HALF,
+    brute_sums,
+    layout_shapes,
+    richardson_diff,
+    seeded,
+    std_wsms,
+    target_ranges,
+)
 from nearfield_crb import (
     DomainError,
     SceneGeometry,
@@ -89,6 +98,64 @@ def test_direct_sums_match_brute_loop(shape):
     for g, e in zip(unpack(got_h), expected_h):
         assert math.isclose(g, e, rel_tol=1e-9, abs_tol=1e-12)
     assert got.n == k * m and got_h.n == k
+
+
+def fsum_loop(positions, r, theta):
+    """The five sums one element at a time, each term list summed by fsum."""
+    s = math.sin(theta)
+    terms = ([], [], [], [], [])
+    for x in (positions / r).tolist():
+        v = 1.0 - 2.0 * x * s + x * x
+        q = math.sqrt(v)
+        u = x * s - 1.0
+        for acc, term in zip(terms, (x * x / v, x / q, u / q, u * u / v, x * u / v)):
+            acc.append(term)
+    return tuple(math.fsum(t) for t in terms)
+
+
+@given(
+    shape=layout_shapes,
+    r=target_ranges,
+    theta=st.one_of(st.just(0.0), st.floats(min_value=-1.55, max_value=1.55)),
+)
+@example(shape=(6, 24, 8), r=0.5, theta=0.0)
+@settings(deadline=None)
+def test_direct_sums_are_bit_identical_to_scalar_fsum(shape, r, theta):
+    # fsum rounds exactly, so the vectorised terms must give the very same
+    # bits as the per-element loop, not merely close values
+    lay = std_wsms(*shape)
+    geom = SceneGeometry(r=r, theta=theta, big_r=50.0)
+    for direct, positions in (
+        (sw_sums_direct, element_positions(lay)),
+        (hspw_sums_direct, subarray_centers(lay)),
+    ):
+        got = direct(lay, geom)
+        assert unpack(got) == fsum_loop(positions, r, theta)
+        assert got.n == positions.size
+        if theta == 0.0:
+            assert got.s_theta == got.s_thetar == 0.0
+
+
+def test_direct_sums_overflow_silently_like_the_scalar_loop():
+    # subarray centres near 3e177 m: x * x overflows, and the scalar loop's
+    # inf / inf terms give NaN sums without a warning (warnings are errors
+    # under the test settings)
+    lay = std_wsms(2, 4, 600)
+    got = hspw_sums_direct(lay, GEOM)
+    assert repr(unpack(got)) == repr(fsum_loop(subarray_centers(lay), GEOM.r, GEOM.theta))
+    assert math.isnan(got.s_theta2)
+
+
+def test_direct_sums_name_the_first_element_where_nu1_vanishes():
+    # K=1, M=2 puts the elements at x = -1 and x = 1 when r = d/2; just
+    # below pi/2 the sine rounds to 1.0, so nu1(1) = 1 - 2 + 1 = 0 exactly
+    lay = std_wsms(1, 2, 0)
+    theta = math.nextafter(math.pi / 2.0, 0.0)
+    assert math.sin(theta) == 1.0
+    geom = SceneGeometry(r=D_HALF / 2.0, theta=theta, big_r=50.0)
+    with pytest.raises(DomainError) as info:
+        sw_sums_direct(lay, geom)
+    assert str(info.value) == "nu1 <= 0 at x = 1.0, theta = 1.5707963267948963"
 
 
 @given(shape=layout_shapes)

@@ -17,6 +17,7 @@ from nearfield_crb import (
     bundle_fisher,
     crb,
     crb_theta_only,
+    fisher_core,
     full_fisher_oracle,
     make_dua,
     received_gain_sq,
@@ -161,6 +162,26 @@ def test_factored_amfs_match_explicit_composite(model, n_r, theta):
         # Cauchy-Schwarz bounds each entry by |u||w|: the scale of its round-off
         scale = np.linalg.norm(u) * np.linalg.norm(w)
         assert abs(getattr(got, name) - np.vdot(u, w)) <= 1e-13 * scale, name
+
+
+def bits(bundle):
+    return [v.view(np.uint64) for v in (bundle.value, bundle.d_theta, bundle.d_r)]
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3, -1.1])
+@pytest.mark.parametrize("n_r", [1, 4, 35])
+@pytest.mark.parametrize("model", ["sw", "hspw", "pw"])
+def test_kronecker_vectors_match_np_kron_bit_for_bit(monkeypatch, model, n_r, theta):
+    lay = std_wsms(3, 8, 2)
+    geom = SceneGeometry(r=1.5, theta=theta, big_r=20.0)
+    rx = rx_bundle(n_r, lay.d, lay.lam, geom)
+    tx = TX_BUNDLES[model](lay, geom)
+    got = bits(tx) + bits(composite_bundle(tx, rx))
+    monkeypatch.setattr(fisher_core, "_kron", np.kron)
+    tx_kron = TX_BUNDLES[model](lay, geom)
+    want = bits(tx_kron) + bits(composite_bundle(tx_kron, rx))
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
 
 
 @pytest.mark.parametrize("model", ["sw", "hspw", "pw"])
