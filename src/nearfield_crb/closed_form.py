@@ -16,6 +16,12 @@ a double integral (over the subarray extent and the subarray-centre extent,
 hence second-level antiderivatives g_*), for the subarray-level sums a
 single integral (first-level antiderivatives f_*).
 
+Each partition edge is evaluated once: one pass computes every
+antiderivative a sum needs there, sharing sin(theta), cos(theta), nu1,
+sqrt(nu1), arctan(nu2) and the logarithms between them.  The public f_* /
+g_* functions each return one entry of that pass, so every formula is
+written once and the sums use exactly the arithmetic the functions do.
+
 Since nu1 = (x - sin theta)^2 + cos^2(theta) >= cos^2(theta) > 0 for
 |theta| < pi/2, every logarithm and inverse hyperbolic tangent below is
 well defined on that whole strip.
@@ -70,8 +76,13 @@ class RiemannBounds:
 # scalar building blocks
 # ---------------------------------------------------------------------------
 
+def _nu1(x, s):
+    # s = sin(theta); x may be a float or an ndarray of offsets
+    return 1.0 - 2.0 * x * s + x * x
+
+
 def nu1(x: float, theta: float) -> float:
-    return 1.0 - 2.0 * x * math.sin(theta) + x * x
+    return _nu1(x, math.sin(theta))
 
 
 def nu2(x: float, theta: float) -> float:
@@ -86,107 +97,145 @@ def _artanh(z: float) -> float:
     return 0.5 * math.log((1.0 + z) / (1.0 - z))
 
 
-def _log_q_plus_u(x: float, theta: float) -> float:
-    """ln(sqrt(nu1) + x - sin theta), stable for large negative x.
+def _angle(theta: float) -> tuple:
+    """The antiderivatives' constants at one angle: sin, cos, cos(2 theta) / cos, tan."""
+    s, c = math.sin(theta), math.cos(theta)
+    return s, c, math.cos(2.0 * theta) / c, math.tan(theta)
 
-    For u = x - sin(theta) < 0 the direct sum cancels; use
-    (q + u)(q - u) = cos^2(theta) to rewrite it.
+
+def _edge(x: float, s: float, c: float) -> tuple:
+    """The values every antiderivative draws on at one edge x.
+
+    Returns u = x - sin(theta), nu2 = u / cos(theta), q = sqrt(nu1),
+    ln(nu1), arctan(nu2) and ln(q + u).  For u < 0 the sum q + u cancels,
+    so its logarithm is taken through (q + u)(q - u) = cos^2(theta), which
+    keeps it stable for large negative x.
     """
-    u = x - math.sin(theta)
-    q = math.sqrt(nu1(x, theta))
+    u = x - s
+    nu = _nu1(x, s)
+    q = math.sqrt(nu)
+    v = u / c
     if u >= 0.0:
-        return math.log(q + u)
-    c = math.cos(theta)
-    return 2.0 * math.log(c) - math.log(q - u)
+        log_q_plus_u = math.log(q + u)
+    else:
+        log_q_plus_u = 2.0 * math.log(c) - math.log(q - u)
+    return u, v, q, math.log(nu), math.atan(v), log_q_plus_u
 
 
 # ---------------------------------------------------------------------------
-# first-level antiderivatives (single integral over the aperture)
+# antiderivatives, each edge evaluated in one pass
+#
+# ``_first_level`` and ``_second_level`` are the only place each formula is
+# written; the sums take whole tuples from them, and every public f_* / g_*
+# below is a projection of one entry.  ``odd`` False skips the one entry
+# that needs artanh (None in its place): the sums skip it on broadside,
+# where its four-point combination vanishes.
 # ---------------------------------------------------------------------------
+
+def _first_level(x: float, angle: tuple, odd: bool) -> tuple:
+    """First-level antiderivatives (single integral over the aperture) at x.
+
+    Returns the antiderivatives of x^2 / nu1, x / sqrt(nu1) (the artanh
+    entry), 1 / sqrt(nu1) and x / nu1, in that order.
+    """
+    s, c, cos2_over_c, tan = angle
+    u, v, q, log_nu1, atan_nu2, log_q_plus_u = _edge(x, s, c)
+    x2_over_nu1 = x + s * log_nu1 - cos2_over_c * atan_nu2
+    x_over_sqrt_nu1 = q + s * _artanh(u / q) if odd else None
+    x_over_nu1 = tan * atan_nu2 + 0.5 * log_nu1
+    return x2_over_nu1, x_over_sqrt_nu1, log_q_plus_u, x_over_nu1
+
+
+def _second_level(x: float, angle: tuple, odd: bool) -> tuple:
+    """Second-level antiderivatives (subarray x centre extents) at x.
+
+    Returns g_theta2, g_theta (the artanh entry), g_thetar and g_r, then
+    the first-level helpers they compose from: the antiderivatives of
+    ln(nu1), arctan(nu2), sqrt(nu1) and artanh((x - sin theta) / sqrt(nu1))
+    (None with g_theta).  g_r is itself the helper antiderivative of
+    ln(sqrt(nu1) + x - sin theta).
+    """
+    s, c, cos2_over_c, tan = angle
+    u, v, q, log_nu1, atan_nu2, log_q_plus_u = _edge(x, s, c)
+    f_log = u * log_nu1 - 2.0 * x + 2.0 * c * atan_nu2
+    f_atan = c * (v * atan_nu2 - 0.5 * math.log(v * v + 1.0))
+    f_sqrt = 0.5 * u * q + 0.5 * c * c * log_q_plus_u
+    f_log_shift = u * log_q_plus_u - q
+    g2 = 0.5 * x * x + s * f_log - cos2_over_c * f_atan
+    gtr = tan * f_atan + 0.5 * f_log
+    if odd:
+        f_artanh = u * _artanh(u / q) - q
+        gt = f_sqrt + s * f_artanh
+    else:
+        f_artanh = gt = None
+    return g2, gt, gtr, f_log_shift, f_log, f_atan, f_sqrt, f_artanh
+
 
 def f_x2_over_nu1(x: float, theta: float) -> float:
     """Antiderivative of x^2 / nu1."""
-    s, c = math.sin(theta), math.cos(theta)
-    return x + s * math.log(nu1(x, theta)) - (math.cos(2.0 * theta) / c) * math.atan(nu2(x, theta))
+    return _first_level(x, _angle(theta), odd=False)[0]
 
 
 def f_x_over_sqrt_nu1(x: float, theta: float) -> float:
     """Antiderivative of x / sqrt(nu1)."""
-    s = math.sin(theta)
-    q = math.sqrt(nu1(x, theta))
-    return q + s * _artanh((x - s) / q)
+    return _first_level(x, _angle(theta), odd=True)[1]
 
 
 def f_one_over_sqrt_nu1(x: float, theta: float) -> float:
     """Antiderivative of 1 / sqrt(nu1)."""
-    return _log_q_plus_u(x, theta)
+    return _first_level(x, _angle(theta), odd=False)[2]
 
 
 def f_x_over_nu1(x: float, theta: float) -> float:
     """Antiderivative of x / nu1."""
-    return math.tan(theta) * math.atan(nu2(x, theta)) + 0.5 * math.log(nu1(x, theta))
+    return _first_level(x, _angle(theta), odd=False)[3]
 
 
 # helper antiderivatives the second level composes from
 
 def f_log_nu1(x: float, theta: float) -> float:
     """Antiderivative of ln(nu1)."""
-    s, c = math.sin(theta), math.cos(theta)
-    return (x - s) * math.log(nu1(x, theta)) - 2.0 * x + 2.0 * c * math.atan(nu2(x, theta))
+    return _second_level(x, _angle(theta), odd=False)[4]
 
 
 def f_atan_nu2(x: float, theta: float) -> float:
     """Antiderivative of arctan(nu2)."""
-    c = math.cos(theta)
-    v = nu2(x, theta)
-    return c * (v * math.atan(v) - 0.5 * math.log(v * v + 1.0))
+    return _second_level(x, _angle(theta), odd=False)[5]
 
 
 def f_sqrt_nu1(x: float, theta: float) -> float:
     """Antiderivative of sqrt(nu1)."""
-    s, c = math.sin(theta), math.cos(theta)
-    q = math.sqrt(nu1(x, theta))
-    return 0.5 * (x - s) * q + 0.5 * c * c * _log_q_plus_u(x, theta)
+    return _second_level(x, _angle(theta), odd=False)[6]
 
 
 def f_artanh_shift(x: float, theta: float) -> float:
     """Antiderivative of artanh((x - sin theta) / sqrt(nu1))."""
-    s = math.sin(theta)
-    q = math.sqrt(nu1(x, theta))
-    u = x - s
-    return u * _artanh(u / q) - q
+    return _second_level(x, _angle(theta), odd=True)[7]
 
 
 def f_log_shift(x: float, theta: float) -> float:
     """Antiderivative of ln(sqrt(nu1) + x - sin theta)."""
-    s = math.sin(theta)
-    q = math.sqrt(nu1(x, theta))
-    return (x - s) * _log_q_plus_u(x, theta) - q
+    return _second_level(x, _angle(theta), odd=False)[3]
 
-
-# ---------------------------------------------------------------------------
-# second-level antiderivatives (double integral: subarray x centre extents)
-# ---------------------------------------------------------------------------
 
 def g_theta2(x: float, theta: float) -> float:
     """Antiderivative of f_x2_over_nu1."""
-    s, c = math.sin(theta), math.cos(theta)
-    return 0.5 * x * x + s * f_log_nu1(x, theta) - (math.cos(2.0 * theta) / c) * f_atan_nu2(x, theta)
+    return _second_level(x, _angle(theta), odd=False)[0]
 
 
 def g_theta(x: float, theta: float) -> float:
     """Antiderivative of f_x_over_sqrt_nu1."""
-    return f_sqrt_nu1(x, theta) + math.sin(theta) * f_artanh_shift(x, theta)
-
-
-def g_r(x: float, theta: float) -> float:
-    """Antiderivative of f_one_over_sqrt_nu1."""
-    return f_log_shift(x, theta)
+    return _second_level(x, _angle(theta), odd=True)[1]
 
 
 def g_thetar(x: float, theta: float) -> float:
     """Antiderivative of f_x_over_nu1."""
-    return math.tan(theta) * f_atan_nu2(x, theta) + 0.5 * f_log_nu1(x, theta)
+    return _second_level(x, _angle(theta), odd=False)[2]
+
+
+def g_r(x: float, theta: float) -> float:
+    """Antiderivative of f_one_over_sqrt_nu1."""
+    return _second_level(x, _angle(theta), odd=False)[3]
 
 
 def g_theta2_psi0(psi: float) -> float:
@@ -208,8 +257,7 @@ def g_theta2_psi0(psi: float) -> float:
 def _direct_sums(x: np.ndarray, theta: float) -> SumFormulas:
     """The five sums over the normalized offsets x, each exactly rounded.
 
-    Every term is formed with the scalar operations of ``nu1`` in the same
-    order, and numpy rounds each of them correctly, so the terms are the
+    Every term is formed with the operations of ``nu1`` in the same order, and numpy rounds each of them correctly, so the terms are the
     ones a per-element loop would give; ``math.fsum`` rounds each sum of
     them exactly, whatever their order.  Broadside odd sums are therefore
     exact zeros.  Like scalar float arithmetic, the terms overflow to inf or
@@ -217,7 +265,7 @@ def _direct_sums(x: np.ndarray, theta: float) -> SumFormulas:
     """
     s = math.sin(theta)
     with np.errstate(over="ignore", invalid="ignore"):
-        v = 1.0 - 2.0 * x * s + x * x
+        v = _nu1(x, s)
         bad = np.flatnonzero(v <= 0.0)
         if bad.size:
             raise DomainError(f"nu1 <= 0 at x = {float(x[bad[0]])!r}, theta = {theta!r}")
@@ -274,25 +322,30 @@ def sw_sums_riemann(layout: ArrayLayout, geom: SceneGeometry) -> SumFormulas:
     _check_riemann_theta(geom.theta)
     b = riemann_bounds(layout, geom.r)
     pref = 1.0 / (b.delta_d * b.delta_big_d)
-    s = math.sin(geom.theta)
-    theta = geom.theta
+    angle = _angle(geom.theta)
+    s, c = angle[0], angle[1]
+    # The odd-symmetry sums vanish identically on broadside; evaluating
+    # the four-point combination there returns only rounding noise
+    # amplified by pref, so they are exact zeros and their terms are skipped.
+    odd = geom.theta != 0.0
+    g4 = _second_level(b.x4, angle, odd)
+    g3 = _second_level(b.x3, angle, odd)
+    g2 = _second_level(b.x2, angle, odd)
+    g1 = _second_level(b.x1, angle, odd)
 
-    def four_point(g):
-        return g(b.x4, theta) - g(b.x3, theta) - g(b.x2, theta) + g(b.x1, theta)
+    def four_point(i):
+        return g4[i] - g3[i] - g2[i] + g1[i]
 
-    s_theta2 = pref * four_point(g_theta2)
-    if theta == 0.0:
-        # The odd-symmetry sums vanish identically on broadside; evaluating
-        # the four-point combination there returns only rounding noise
-        # amplified by pref, so return the exact zeros.
+    s_theta2 = pref * four_point(0)
+    if odd:
+        s_theta = pref * four_point(1)
+        s_thetar = s * s_theta2 - pref * four_point(2)
+    else:
         s_theta = 0.0
         s_thetar = 0.0
-    else:
-        s_theta = pref * four_point(g_theta)
-        s_thetar = s * s_theta2 - pref * four_point(g_thetar)
-    s_r = s * s_theta - pref * four_point(g_r)
+    s_r = s * s_theta - pref * four_point(3)
     n = layout.n_elements
-    s_r2 = n - math.cos(theta) ** 2 * s_theta2
+    s_r2 = n - c ** 2 * s_theta2
     return SumFormulas(s_theta2, s_theta, s_r, s_r2, s_thetar, n)
 
 
@@ -300,17 +353,18 @@ def hspw_sums_closed(layout: ArrayLayout, geom: SceneGeometry) -> SumFormulas:
     """Closed-form subarray-centre sums via the single midpoint approximation."""
     b = riemann_bounds(layout, geom.r)
     a = 0.5 * layout.K * b.delta_big_d
-    s = math.sin(geom.theta)
-    theta = geom.theta
+    angle = _angle(geom.theta)
+    s, c = angle[0], angle[1]
+    hi, lo = _first_level(a, angle, True), _first_level(-a, angle, True)
 
-    def edge_diff(f):
-        return (f(a, theta) - f(-a, theta)) / b.delta_big_d
+    def edge_diff(i):
+        return (hi[i] - lo[i]) / b.delta_big_d
 
-    s_theta2 = edge_diff(f_x2_over_nu1)
-    s_theta = edge_diff(f_x_over_sqrt_nu1)
-    s_r = s * s_theta - edge_diff(f_one_over_sqrt_nu1)
-    s_thetar = s * s_theta2 - edge_diff(f_x_over_nu1)
-    s_r2 = layout.K - math.cos(theta) ** 2 * s_theta2
+    s_theta2 = edge_diff(0)
+    s_theta = edge_diff(1)
+    s_r = s * s_theta - edge_diff(2)
+    s_thetar = s * s_theta2 - edge_diff(3)
+    s_r2 = layout.K - c ** 2 * s_theta2
     return SumFormulas(s_theta2, s_theta, s_r, s_r2, s_thetar, layout.K)
 
 
@@ -326,8 +380,11 @@ def sw_theta0_sums(layout: ArrayLayout, r: float) -> SumFormulas:
     """
     b = riemann_bounds(layout, r)
     pref = 2.0 / (b.delta_d * b.delta_big_d)
-    s_theta2 = pref * (g_theta2(b.x4, 0.0) - g_theta2(b.x3, 0.0))
-    s_r = -pref * (g_r(b.x4, 0.0) - g_r(b.x3, 0.0))
+    angle = _angle(0.0)
+    g4 = _second_level(b.x4, angle, odd=False)
+    g3 = _second_level(b.x3, angle, odd=False)
+    s_theta2 = pref * (g4[0] - g3[0])
+    s_r = -pref * (g4[3] - g3[3])
     n = layout.n_elements
     return SumFormulas(
         s_theta2=s_theta2,

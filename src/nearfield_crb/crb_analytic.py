@@ -24,8 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .array_layouts import ArrayLayout, make_dua, make_ua, make_wsms
 from .closed_form import (
     SumFormulas,
@@ -38,6 +36,7 @@ from .closed_form import (
 )
 from .errors import DomainError, InvalidLayout, SingularFisher
 from .fisher_core import (
+    _EPS,
     NOISE_FLOOR_MULT,
     CrbResult,
     NormalizedFisher,
@@ -127,7 +126,7 @@ def _assemble(
     # Round-off floors from the pre-cancellation magnitudes: the variance
     # factors subtract same-sign quantities, so anything below these is
     # numerically zero information, not a usable bound.
-    floor_mult = NOISE_FLOOR_MULT * float(np.finfo(float).eps)
+    floor_mult = NOISE_FLOOR_MULT * _EPS
     q11_floor = floor_mult * (
         chi_tx * (abs(sums.s_theta2) / n + (sums.s_theta / n) ** 2)
         + abs(planar_11)

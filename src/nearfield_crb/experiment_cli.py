@@ -225,7 +225,9 @@ def _evaluate(cfg: ScenarioConfig, layout: ArrayLayout, geom: SceneGeometry):
     return res.crb_theta, res.crb_r, ""
 
 
-def _row(cfg: ScenarioConfig, crb_theta, crb_r, code: str) -> dict:
+def _row(cfg: ScenarioConfig, r: float, theta: float, crb_theta, crb_r, code: str) -> dict:
+    """The CSV row of cfg's fields at (r, theta) with its bounds."""
+
     def root(v):
         return math.sqrt(v) if v is not None and v >= 0.0 else None
 
@@ -238,8 +240,8 @@ def _row(cfg: ScenarioConfig, crb_theta, crb_r, code: str) -> dict:
         "I": cfg.I,
         "N_r": cfg.N_r,
         "R_m": cfg.R,
-        "theta_rad": cfg.theta,
-        "r_m": cfg.r,
+        "theta_rad": theta,
+        "r_m": r,
         "crb_theta_rad2": crb_theta,
         "crb_r_m2": crb_r,
         "root_crb_theta_rad": root(crb_theta),
@@ -248,15 +250,31 @@ def _row(cfg: ScenarioConfig, crb_theta, crb_r, code: str) -> dict:
     }
 
 
-def run_point(cfg: ScenarioConfig) -> dict:
-    """Evaluate one scenario; engine errors become an error-code row."""
+def _rows_on_layout(cfg: ScenarioConfig, points) -> list:
+    """One row per (r, theta) in ``points``, the other fields from cfg.
+
+    The layout does not depend on r or theta, so it is built once.  Engine
+    errors become error-code rows; a layout that fails to build gives every
+    point its error.
+    """
     try:
         layout = build_layout(cfg)
-        geom = SceneGeometry(r=cfg.r, theta=cfg.theta, big_r=cfg.R, vartheta=cfg.vartheta)
-        crb_theta, crb_r, code = _evaluate(cfg, layout, geom)
     except CrbEngineError as exc:
-        return _row(cfg, None, None, error_code(exc))
-    return _row(cfg, crb_theta, crb_r, code)
+        code = error_code(exc)
+        return [_row(cfg, r, theta, None, None, code) for r, theta in points]
+    rows = []
+    for r, theta in points:
+        try:
+            geom = SceneGeometry(r=r, theta=theta, big_r=cfg.R, vartheta=cfg.vartheta)
+            rows.append(_row(cfg, r, theta, *_evaluate(cfg, layout, geom)))
+        except CrbEngineError as exc:
+            rows.append(_row(cfg, r, theta, None, None, error_code(exc)))
+    return rows
+
+
+def run_point(cfg: ScenarioConfig) -> dict:
+    """Evaluate one scenario; engine errors become an error-code row."""
+    return _rows_on_layout(cfg, [(cfg.r, cfg.theta)])[0]
 
 
 def run_sweep(cfg: ScenarioConfig, axis: str, start: float, stop: float, steps: int) -> list:
@@ -265,7 +283,9 @@ def run_sweep(cfg: ScenarioConfig, axis: str, start: float, stop: float, steps: 
         if steps < 2:
             raise ConfigError(f"steps must be >= 2, got {steps!r}")
         grid = [float(v) for v in np.linspace(start, stop, steps)]
-        return [run_point(replace(cfg, **{axis: v})) for v in grid]
+        if axis == "r":
+            return _rows_on_layout(cfg, [(v, cfg.theta) for v in grid])
+        return _rows_on_layout(cfg, [(cfg.r, v) for v in grid])
     for v in (start, stop):
         if not math.isfinite(v) or v != int(v):
             raise ConfigError(f"axis {axis!r} needs integer bounds, got {v!r}")
@@ -282,8 +302,6 @@ def run_sweep(cfg: ScenarioConfig, axis: str, start: float, stop: float, steps: 
 # figure presets (simulation-section parameter sets; desk scale, no plotting)
 # ---------------------------------------------------------------------------
 
-_R_GRID = [float(v) for v in np.linspace(2.0, 50.0, 25)]
-_THETA_GRID = [float(v) for v in np.linspace(-1.5, 1.5, 61)]
 _MODEL_METHODS = (("sw", "direct"), ("sw", "riemann"), ("hspw", "direct"), ("hspw", "riemann"), ("pw", "direct"))
 _IK_CASES = ((3, 3), (12, 3), (3, 12), (12, 12))
 
@@ -294,7 +312,7 @@ def fig3_rows() -> list:
     for k in (3, 6, 9, 12):
         for method in ("direct", "riemann"):
             cfg = ScenarioConfig(K=k, I=3, N_r=1, theta=math.pi / 4.0, method=method)
-            rows.extend(run_point(replace(cfg, r=r)) for r in _R_GRID)
+            rows.extend(run_sweep(cfg, "r", 2.0, 50.0, 25))
     return rows
 
 
@@ -304,7 +322,7 @@ def fig4_rows() -> list:
     for i, k in _IK_CASES:
         for model, method in _MODEL_METHODS:
             cfg = ScenarioConfig(K=k, I=i, N_r=1, theta=math.pi / 4.0, model=model, method=method)
-            rows.extend(run_point(replace(cfg, r=r)) for r in _R_GRID)
+            rows.extend(run_sweep(cfg, "r", 2.0, 50.0, 25))
     return rows
 
 
@@ -314,17 +332,16 @@ def fig5_rows() -> list:
     for i, k in _IK_CASES:
         for model, method in _MODEL_METHODS:
             cfg = ScenarioConfig(K=k, I=i, N_r=1, r=10.0, model=model, method=method)
-            rows.extend(run_point(replace(cfg, theta=t)) for t in _THETA_GRID)
+            rows.extend(run_sweep(cfg, "theta", -1.5, 1.5, 61))
     return rows
 
 
 def fig6_rows() -> list:
     """Receive-array effect: N_r in {1,18,35}, theta=0, r in [1,30], R=31."""
     rows = []
-    grid = [float(v) for v in np.linspace(1.0, 30.0, 59)]
     for n_r in (1, 18, 35):
         cfg = ScenarioConfig(K=12, I=10, N_r=n_r, theta=0.0, R=31.0)
-        rows.extend(run_point(replace(cfg, r=r)) for r in grid)
+        rows.extend(run_sweep(cfg, "r", 1.0, 30.0, 59))
     return rows
 
 
@@ -343,7 +360,7 @@ def fig7_rows() -> list:
         ("asymptote_span_pi", asym.crb_theta_span_pi),
         ("asymptote_span_zero", asym.crb_theta_span_zero),
     ):
-        row = _row(replace(cfg, I=0), value, None, "")
+        row = _row(replace(cfg, I=0), cfg.r, cfg.theta, value, None, "")
         row["method"] = name
         row["I"] = None
         rows.append(row)
@@ -368,7 +385,7 @@ def fig8_rows() -> list:
         for method in ("direct", "riemann"):
             cfg = ScenarioConfig(K=k, N_r=1, theta=geom.theta, r=geom.r, method=method)
             crb_theta_val, crb_r_val, code = _evaluate(cfg, lay, geom)
-            row = _row(cfg, crb_theta_val, crb_r_val, code)
+            row = _row(cfg, cfg.r, cfg.theta, crb_theta_val, crb_r_val, code)
             row["I"] = None
             rows.append(row)
     return rows
@@ -400,6 +417,8 @@ FIGURES = {
 # ---------------------------------------------------------------------------
 
 def format_cell(value) -> str:
+    if type(value) is float:
+        return repr(value)
     if value is None:
         return ""
     if isinstance(value, str):

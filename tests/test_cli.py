@@ -267,6 +267,9 @@ def test_format_cell():
     assert format_cell(3) == "3"
     assert format_cell(0.25) == "0.25"
     assert format_cell(1.0000000000000002e-06) == "1.0000000000000002e-06"
+    # numpy 2 scalars would repr as np.float64(0.1) and np.int64(3)
+    assert format_cell(np.float64(0.1)) == "0.1"
+    assert format_cell(np.int64(3)) == "3"
 
 
 def test_error_code_names():
@@ -386,3 +389,57 @@ def test_overflowing_gap_exponent_is_an_error_row(capsys):
     row = parse_rows(out)[0]
     assert row["error_code"] == "invalid_layout"
     assert row["crb_theta_rad2"] == ""
+
+
+SWEEP_SCENE = ScenarioConfig(K=3, M=16, I=4, N_r=4, R=50.0, r=2.0, theta=0.4)
+LAM = SWEEP_SCENE.lam
+
+
+def assert_sweep_matches_points(cfg, axis, start, stop, steps):
+    """run_sweep gives, row for row, what run_point gives at each grid point."""
+    rows = run_sweep(cfg, axis, start, stop, steps)
+    grid = [float(v) for v in np.linspace(start, stop, steps)]
+    assert rows == [run_point(replace(cfg, **{axis: v})) for v in grid]
+    return rows
+
+
+@pytest.mark.parametrize("axis, start, stop", [("r", 0.5, 30.0), ("theta", -1.5, 1.5)])
+@pytest.mark.parametrize("model, method", [
+    ("sw", "direct"), ("sw", "riemann"), ("hspw", "direct"), ("hspw", "riemann"), ("pw", "direct"),
+])
+def test_sweep_rows_match_point_by_point(model, method, axis, start, stop):
+    cfg = replace(SWEEP_SCENE, model=model, method=method)
+    rows = assert_sweep_matches_points(cfg, axis, start, stop, 13)
+    codes = [row["error_code"] for row in rows]
+    if (model, method, axis) == ("sw", "riemann", "theta"):
+        # -1.5, 1.5 lie beyond the closed-form cap
+        assert codes.count("singularity_near_pi2") == 2
+    else:
+        assert codes.count("singularity_near_pi2") == 0
+
+
+def test_oracle_sweep_matches_point_by_point():
+    cfg = replace(SWEEP_SCENE, K=2, method="oracle")
+    rows = assert_sweep_matches_points(cfg, "r", 0.1, 2.0, 4)
+    assert all(not row["error_code"] for row in rows)
+
+
+@pytest.mark.parametrize("axis", ["r", "theta"])
+def test_unbuildable_layout_gives_every_sweep_point_its_error(axis):
+    rows = assert_sweep_matches_points(replace(SWEEP_SCENE, I=1100), axis, 0.5, 1.0, 5)
+    assert [row["error_code"] for row in rows] == ["invalid_layout"] * 5
+
+
+@pytest.mark.parametrize("method", ["direct", "riemann"])
+def test_sweep_error_rows_match_point_by_point(method):
+    # a target on the element at +d/2: just below pi/2 the sine rounds to 1,
+    # so at r = d/2 the squared distance is exactly 0
+    on_element = ScenarioConfig(K=1, M=2, I=0, theta=math.nextafter(math.pi / 2.0, 0.0),
+                                method=method)
+    rows = assert_sweep_matches_points(on_element, "r", LAM / 4.0, 1.0, 4)
+    want = "element_coincidence" if method == "direct" else "singularity_near_pi2"
+    assert rows[0]["error_code"] == want
+    # a tilted receiver aperture
+    tilted = replace(SWEEP_SCENE, vartheta=0.1, method=method)
+    rows = assert_sweep_matches_points(tilted, "r", 0.5, 30.0, 4)
+    assert [row["error_code"] for row in rows] == ["domain_error"] * 4

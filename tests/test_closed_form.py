@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import separate_antiderivatives as separate
 from conftest import (
     D_HALF,
     brute_sums,
@@ -24,6 +25,7 @@ from nearfield_crb import (
     psi_from_x,
     subarray_centers,
 )
+from nearfield_crb import closed_form
 from nearfield_crb.closed_form import (
     THETA_RIEMANN_CAP,
     f_artanh_shift,
@@ -415,3 +417,73 @@ def test_hspw_theta0_sums_domain():
         hspw_theta0_sums(2, math.pi)
     with pytest.raises(DomainError):
         hspw_theta0_sums(0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# one pass per edge against the separate formulas
+# ---------------------------------------------------------------------------
+
+SEPARATE_FORMULAS = (
+    "nu1", "nu2",
+    "f_x2_over_nu1", "f_x_over_sqrt_nu1", "f_one_over_sqrt_nu1", "f_x_over_nu1",
+    "f_log_nu1", "f_atan_nu2", "f_sqrt_nu1", "f_artanh_shift", "f_log_shift",
+    "g_theta2", "g_theta", "g_thetar", "g_r",
+)
+
+# both signs of x - sin(theta), so both branches of ln(sqrt(nu1) + x - sin theta)
+edge_offsets = st.one_of(
+    st.floats(min_value=-50.0, max_value=50.0),
+    st.floats(min_value=-1e12, max_value=1e12),
+)
+closed_angles = st.one_of(
+    st.just(0.0), st.floats(min_value=-THETA_RIEMANN_CAP, max_value=THETA_RIEMANN_CAP)
+)
+
+
+def outcome(f, *args):
+    """repr of f's value, or of the type and message of the DomainError it raises.
+
+    Equal reprs mean equal bits, signed zeros included.
+    """
+    try:
+        return repr(f(*args))
+    except DomainError as exc:
+        return repr((type(exc), str(exc)))
+
+
+@given(x=edge_offsets, theta=closed_angles)
+@example(x=1e9, theta=0.3)    # artanh's argument rounds onto 1
+@example(x=-1e9, theta=0.3)   # ... and onto -1
+@example(x=-2.5, theta=0.0)
+@settings(deadline=None)
+def test_antiderivatives_are_bit_identical_to_separate_formulas(x, theta):
+    for name in SEPARATE_FORMULAS:
+        assert outcome(getattr(closed_form, name), x, theta) == outcome(
+            getattr(separate, name), x, theta
+        ), name
+
+
+@given(
+    shape=layout_shapes,
+    r=st.one_of(target_ranges, st.floats(min_value=1e-3, max_value=0.5)),
+    theta=closed_angles,
+)
+@example(shape=(2, 4, 30), r=1e-3, theta=0.3)  # edges near 1.6e9: artanh raises
+@example(shape=(3, 8, 2), r=2.0, theta=0.0)
+@settings(deadline=None)
+def test_closed_sums_are_bit_identical_to_separate_formulas(shape, r, theta):
+    lay = std_wsms(*shape)
+    geom = SceneGeometry(r=r, theta=theta, big_r=50.0)
+    for name in ("sw_sums_riemann", "hspw_sums_closed"):
+        assert outcome(getattr(closed_form, name), lay, geom) == outcome(
+            getattr(separate, name), lay, geom
+        ), name
+    assert outcome(sw_theta0_sums, lay, r) == outcome(separate.sw_theta0_sums, lay, r)
+
+
+def test_artanh_rounding_onto_one_raises_in_the_sums_as_before():
+    lay = std_wsms(2, 4, 30)
+    geom = SceneGeometry(r=1e-3, theta=0.3, big_r=50.0)
+    for sums in (sw_sums_riemann, hspw_sums_closed):
+        with pytest.raises(DomainError, match="artanh needs"):
+            sums(lay, geom)
