@@ -109,10 +109,14 @@ def _edge(x: float, s: float, c: float) -> tuple:
     Returns u = x - sin(theta), nu2 = u / cos(theta), q = sqrt(nu1),
     ln(nu1), arctan(nu2) and ln(q + u).  For u < 0 the sum q + u cancels,
     so its logarithm is taken through (q + u)(q - u) = cos^2(theta), which
-    keeps it stable for large negative x.
+    keeps it stable for large negative x.  nu1 >= cos^2(theta) > 0 in
+    exact arithmetic, but where sin(theta) rounds to 1 an edge at x = 1
+    gives nu1 = 0: a DomainError, as in the direct sums.
     """
     u = x - s
     nu = _nu1(x, s)
+    if nu <= 0.0:
+        raise DomainError(f"nu1 <= 0 at x = {x!r}, sin(theta) = {s!r}")
     q = math.sqrt(nu)
     v = u / c
     if u >= 0.0:

@@ -23,6 +23,13 @@ transmit-side and receive-side inner products (the mixed-product rule
 ``composite_bundle`` builds the explicit vector for the checks that inspect
 it, and ``full_fisher_oracle`` alone builds it on a bound's path, since it is
 the independent check.
+
+Transmit bundles are built per batch of points on one layout
+(``tx_bundles``, ``bundle_fishers``): the element positions, k0 and the
+in-subarray offsets are computed once, and each vector is one row of a
+(points, elements) array.  Every element keeps the single point's
+operations in their order, so each row is bit for bit the bundle of its
+point alone; a single point is the one-row batch.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ import numpy as np
 
 from .array_layouts import ArrayLayout, element_positions, subarray_centers
 from .errors import (
+    CrbEngineError,
     DegenerateGeometry,
     DomainError,
     ElementCoincidence,
@@ -117,68 +125,156 @@ class OracleResult:
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two vectors: their outer product, row by row."""
-    return np.multiply.outer(a, b).ravel()
+    """Kronecker product of two vectors, or of each pair of rows of two stacks.
+
+    The outer product, flattened row by row.
+    """
+    if a.ndim == 1:
+        return np.multiply.outer(a, b).ravel()
+    return (a[:, :, None] * b[:, None, :]).reshape(len(a), -1)
 
 
-def _element_distances(n: np.ndarray, r: float, theta: float) -> np.ndarray:
+def _targets(geoms: list) -> tuple:
+    """r, sin(theta) and cos(theta) of each geometry, as (P, 1) columns.
+
+    The sines and cosines come from ``math``, point by point, so every row
+    sees the very values a single point would.  A single point gets plain
+    floats, and its vectors come out 1-D: numpy broadcasts a float with the
+    same arithmetic as a (1, 1) column, at a fraction of the cost.
+    """
+    cols = [(g.r, math.sin(g.theta), math.cos(g.theta)) for g in geoms]
+    if len(cols) == 1:
+        return cols[0]
+    arr = np.array(cols, dtype=float)
+    return arr[:, 0:1], arr[:, 1:2], arr[:, 2:3]
+
+
+def _element_distances(n: np.ndarray, r, sin) -> tuple:
+    """Distances from the coordinates n to each target row, and each row's error.
+
+    r and sin come from ``_targets``.  errors[p] is the error target p
+    raises, or None: an overflow comes before a target on an element.
+    Those rows are set to 1, so that the rest of the batch raises no
+    floating-point warning on their account.
+    """
     with np.errstate(over="ignore"):
-        rnt = r * r - 2.0 * n * r * math.sin(theta) + n * n
-    if not np.all(np.isfinite(rnt)):
-        # an aperture beyond ~1e154 m: every phase and derivative would be
-        # inf or NaN, so the block carries no information
-        raise SingularFisher("element distances overflow: the aperture is too wide")
-    if np.any(rnt <= 0.0):
-        raise ElementCoincidence("target coincides with an array element")
-    return np.sqrt(rnt)
+        rnt = r * r - 2.0 * n * r * sin + n * n
+    rows = rnt.reshape(-1, n.size)
+    errors = [None] * len(rows)
+    # min is NaN if any entry is, so one test clears a batch where no row
+    # raises.  An aperture beyond ~1e154 m makes every phase and derivative
+    # inf or NaN, so the block carries no information.
+    if not (rnt.min() > 0.0 and rnt.max() < math.inf):
+        overflow = ~np.isfinite(rows).all(axis=1)
+        on_element = (rows <= 0.0).any(axis=1)
+        for p in np.flatnonzero(overflow | on_element):
+            if overflow[p]:
+                errors[p] = SingularFisher("element distances overflow: the aperture is too wide")
+            else:
+                errors[p] = ElementCoincidence("target coincides with an array element")
+            rows[p] = 1.0
+    return np.sqrt(rnt), errors
 
 
-def _spherical_trio(n: np.ndarray, r: float, theta: float, k0: float):
-    """Unit-norm spherical-wave vector over coordinates n plus derivatives."""
-    dist = _element_distances(n, r, theta)
+def _spherical_trio(n: np.ndarray, r, sin, cos, k0: float):
+    """Unit-norm spherical-wave vectors over coordinates n, one row per target.
+
+    Returns the values, their theta- and r-derivatives, and each row's error.
+    """
+    dist, errors = _element_distances(n, r, sin)
     value = np.exp(-1j * k0 * dist) / math.sqrt(n.size)
-    d_theta = value * (1j * k0 * n * r * math.cos(theta) / dist)
-    d_r = value * (1j * k0 * (n * math.sin(theta) - r) / dist)
-    return value, d_theta, d_r
+    d_theta = value * (1j * k0 * n * r * cos / dist)
+    d_r = value * (1j * k0 * (n * sin - r) / dist)
+    return value, d_theta, d_r, errors
 
 
-def sw_tx_bundle(layout: ArrayLayout, geom: SceneGeometry) -> SteeringBundle:
-    """Spherical-wave transmit steering bundle over all K*M elements."""
+def _bundles(value, d_theta, d_r, errors, model: str) -> list:
+    """One bundle per row of the stacked vectors, or that row's error."""
+    value, d_theta, d_r = (v.reshape(len(errors), -1) for v in (value, d_theta, d_r))
+    return [
+        err if err is not None else SteeringBundle(value[p], d_theta[p], d_r[p], model)
+        for p, err in enumerate(errors)
+    ]
+
+
+def _sw_tx_bundles(layout: ArrayLayout, geoms: list) -> list:
     n = element_positions(layout)
     k0 = 2.0 * math.pi / layout.lam
-    value, d_theta, d_r = _spherical_trio(n, geom.r, geom.theta, k0)
-    return SteeringBundle(value, d_theta, d_r, "sw")
+    r, sin, cos = _targets(geoms)
+    return _bundles(*_spherical_trio(n, r, sin, cos, k0), "sw")
 
 
-def pw_tx_bundle(layout: ArrayLayout, geom: SceneGeometry) -> SteeringBundle:
-    """Planar-wave transmit steering bundle (no range dependence)."""
+def _pw_tx_bundles(layout: ArrayLayout, geoms: list) -> list:
     n = element_positions(layout)
     k0 = 2.0 * math.pi / layout.lam
-    value = np.exp(1j * k0 * n * math.sin(geom.theta)) / math.sqrt(n.size)
-    d_theta = value * (1j * k0 * n * math.cos(geom.theta))
+    _, sin, cos = _targets(geoms)
+    value = np.exp(1j * k0 * n * sin) / math.sqrt(n.size)
+    d_theta = value * (1j * k0 * n * cos)
     d_r = np.zeros_like(value)
-    return SteeringBundle(value, d_theta, d_r, "pw")
+    return _bundles(value, d_theta, d_r, [None] * len(geoms), "pw")
 
 
-def hspw_tx_bundle(layout: ArrayLayout, geom: SceneGeometry) -> SteeringBundle:
-    """Hybrid bundle: spherical across subarray centres, planar within."""
+def _hspw_tx_bundles(layout: ArrayLayout, geoms: list) -> list:
     if layout.kind != "wsms":
         raise InvalidLayout(
             f"the hybrid model needs a widely spaced subarray layout, got kind={layout.kind!r}"
         )
     k0 = 2.0 * math.pi / layout.lam
     centers = subarray_centers(layout)
-    w, w_theta, w_r = _spherical_trio(centers, geom.r, geom.theta, k0)
+    r, sin, cos = _targets(geoms)
+    w, w_theta, w_r, errors = _spherical_trio(centers, r, sin, cos, k0)
 
     m = np.arange(layout.M, dtype=float)
     offsets = (2.0 * m - layout.M + 1.0) / 2.0 * layout.d
-    a = np.exp(1j * k0 * offsets * math.sin(geom.theta)) / math.sqrt(layout.M)
-    a_theta = a * (1j * k0 * offsets * math.cos(geom.theta))
+    a = np.exp(1j * k0 * offsets * sin) / math.sqrt(layout.M)
+    a_theta = a * (1j * k0 * offsets * cos)
 
     value = _kron(w, a)
     d_theta = _kron(w_theta, a) + _kron(w, a_theta)
     d_r = _kron(w_r, a)
-    return SteeringBundle(value, d_theta, d_r, "hspw")
+    return _bundles(value, d_theta, d_r, errors, "hspw")
+
+
+_TX_BATCHES = {"sw": _sw_tx_bundles, "hspw": _hspw_tx_bundles, "pw": _pw_tx_bundles}
+
+
+def tx_bundles(layout: ArrayLayout, geoms: list, model: str) -> list:
+    """The transmit bundle at each geometry, all built in one pass.
+
+    The layout's element positions, k0 and the hybrid model's in-subarray
+    offsets are computed once; each element's arithmetic is the single
+    point's, so row p is bit for bit the bundle at geoms[p] alone.  Entry p
+    is that bundle, or the engine error the point raises: every point
+    raises an error of the layout or the model.
+    """
+    try:
+        if model not in _TX_BATCHES:
+            raise DomainError(f"unknown wave model {model!r}")
+        return _TX_BATCHES[model](layout, geoms)
+    except CrbEngineError as exc:
+        return [exc] * len(geoms)
+
+
+def _one(outcome):
+    """The value of a one-point batch, or raise its error."""
+    if isinstance(outcome, CrbEngineError):
+        raise outcome
+    return outcome
+
+
+def sw_tx_bundle(layout: ArrayLayout, geom: SceneGeometry) -> SteeringBundle:
+    """Spherical-wave transmit steering bundle over all K*M elements."""
+    return _one(tx_bundles(layout, [geom], "sw")[0])
+
+
+def pw_tx_bundle(layout: ArrayLayout, geom: SceneGeometry) -> SteeringBundle:
+    """Planar-wave transmit steering bundle (no range dependence)."""
+    return _one(tx_bundles(layout, [geom], "pw")[0])
+
+
+def hspw_tx_bundle(layout: ArrayLayout, geom: SceneGeometry) -> SteeringBundle:
+    """Hybrid bundle: spherical across subarray centres, planar within."""
+    return _one(tx_bundles(layout, [geom], "hspw")[0])
 
 
 def rx_bundle(n_r: int, d_rx: float, lam: float, geom: SceneGeometry) -> SteeringBundle:
@@ -217,43 +313,33 @@ def composite_bundle(tx: SteeringBundle, rx: SteeringBundle) -> SteeringBundle:
     return SteeringBundle(value, d_theta, d_r, "composite")
 
 
-# Each composite vector of ``composite_bundle`` as a sum of Kronecker terms
-# conj(tx[a]) (x) rx[b], with a and b indexing (value, d_theta, d_r).
-_COMPOSITE_TERMS = {
-    "value": ((0, 0),),
-    "d_theta": ((1, 0), (0, 1)),
-    "d_r": ((2, 0), (0, 2)),
-}
-
-
-def _gram(bundle: SteeringBundle) -> list[list[complex]]:
-    vecs = (bundle.value, bundle.d_theta, bundle.d_r)
-    return [[np.vdot(u, w) for w in vecs] for u in vecs]
-
-
 def amfs(tx: SteeringBundle, rx: SteeringBundle) -> AmfSet:
     """Inner products of the composite bundle kron(conj(tx), rx), factor by factor.
 
     vdot(conj(a) (x) b, conj(c) (x) d) = vdot(c, a) * vdot(b, d), so each
     entry is a short sum of products of transmit-side and receive-side
-    inner products; no vector of length N_t*N_r is formed.
+    inner products; no vector of length N_t*N_r is formed.  With the
+    composite vectors value = conj(t0) (x) r0, d_theta = conj(t1) (x) r0 +
+    conj(t0) (x) r1 and d_r = conj(t2) (x) r0 + conj(t0) (x) r2, where
+    0, 1, 2 index (value, d_theta, d_r), each entry below adds its terms
+    in that order, starting from 0.  t_ij = vdot(t_i, t_j) and r_ij
+    likewise; t_12 and r_21 never enter.
     """
-    g_tx, g_rx = _gram(tx), _gram(rx)
-
-    def dot(u: str, w: str) -> complex:
-        return sum(
-            g_tx[c][a] * g_rx[b][d]
-            for a, b in _COMPOSITE_TERMS[u]
-            for c, d in _COMPOSITE_TERMS[w]
-        )
-
+    t0, t1, t2 = tx.value, tx.d_theta, tx.d_r
+    r0, r1, r2 = rx.value, rx.d_theta, rx.d_r
+    t00, t01, t02 = np.vdot(t0, t0), np.vdot(t0, t1), np.vdot(t0, t2)
+    t10, t11 = np.vdot(t1, t0), np.vdot(t1, t1)
+    t20, t21, t22 = np.vdot(t2, t0), np.vdot(t2, t1), np.vdot(t2, t2)
+    r00, r01, r02 = np.vdot(r0, r0), np.vdot(r0, r1), np.vdot(r0, r2)
+    r10, r11, r12 = np.vdot(r1, r0), np.vdot(r1, r1), np.vdot(r1, r2)
+    r20, r22 = np.vdot(r2, r0), np.vdot(r2, r2)
     return AmfSet(
-        htheta_sq=float(dot("d_theta", "d_theta").real),
-        hr_sq=float(dot("d_r", "d_r").real),
-        h_sq=float(dot("value", "value").real),
-        htheta_h=complex(dot("d_theta", "value")),
-        hr_h=complex(dot("d_r", "value")),
-        htheta_hr=complex(dot("d_theta", "d_r")),
+        htheta_sq=float((0 + t11 * r00 + t01 * r01 + t10 * r10 + t00 * r11).real),
+        hr_sq=float((0 + t22 * r00 + t02 * r02 + t20 * r20 + t00 * r22).real),
+        h_sq=float((0 + t00 * r00).real),
+        htheta_h=complex(0 + t01 * r00 + t00 * r10),
+        hr_h=complex(0 + t02 * r00 + t00 * r20),
+        htheta_hr=complex(0 + t21 * r00 + t01 * r02 + t20 * r10 + t00 * r12),
     )
 
 
@@ -371,9 +457,6 @@ def crb_theta_only(nf: NormalizedFisher, beta_sq: float, sigma_n_sq: float) -> f
     return sigma_n_sq / (2.0 * beta_sq * nf.q11)
 
 
-_TX_BUNDLES = {"sw": sw_tx_bundle, "hspw": hspw_tx_bundle, "pw": pw_tx_bundle}
-
-
 def bundle_crb(
     layout: ArrayLayout,
     geom: SceneGeometry,
@@ -393,11 +476,27 @@ def bundle_fisher(
     layout: ArrayLayout, geom: SceneGeometry, n_r: int, *, model: str = "sw"
 ) -> NormalizedFisher:
     """Normalized Fisher block assembled from the steering bundles."""
-    if model not in _TX_BUNDLES:
-        raise DomainError(f"unknown wave model {model!r}")
-    tx = _TX_BUNDLES[model](layout, geom)
-    rx = rx_bundle(n_r, layout.d, layout.lam, geom)
-    return normalized_fisher(amfs(tx, rx))
+    return _one(bundle_fishers(layout, [geom], n_r, model=model)[0])
+
+
+def bundle_fishers(layout: ArrayLayout, geoms: list, n_r: int, *, model: str = "sw") -> list:
+    """``bundle_fisher`` at each geometry, the transmit bundles built in one pass.
+
+    Entry p is the block at geoms[p], or the engine error ``bundle_fisher``
+    raises there: a transmit error before a receive error.  The batch holds
+    every point's transmit vectors at once, so callers bound its size.
+    """
+    out = []
+    for geom, tx in zip(geoms, tx_bundles(layout, geoms, model)):
+        if isinstance(tx, CrbEngineError):
+            out.append(tx)
+            continue
+        try:
+            rx = rx_bundle(n_r, layout.d, layout.lam, geom)
+            out.append(normalized_fisher(amfs(tx, rx)))
+        except CrbEngineError as exc:
+            out.append(exc)
+    return out
 
 
 def full_fisher_oracle(
@@ -422,7 +521,7 @@ def full_fisher_oracle(
     """
     if not 1e-8 <= fd_step <= 1e-4:
         raise DomainError(f"fd_step must lie in [1e-8, 1e-4], got {fd_step!r}")
-    if model not in _TX_BUNDLES:
+    if model not in _TX_BATCHES:
         raise DomainError(f"unknown wave model {model!r}")
     if training not in ("implicit", "dft"):
         raise DomainError(f"unknown training map {training!r}")
@@ -432,22 +531,35 @@ def full_fisher_oracle(
     else:
         unitary = None
 
-    def hvec(theta: float, r: float) -> np.ndarray:
-        g = replace(geom, theta=theta, r=r)
-        tx = _TX_BUNDLES[model](layout, g).value
-        rx = rx_bundle(n_r, layout.d, layout.lam, g).value
-        mapped = np.conj(tx) if unitary is None else unitary.T @ np.conj(tx)
-        return _kron(mapped, rx)
-
     d_theta_step = fd_step
     d_r_step = fd_step * geom.r
-    h0 = hvec(geom.theta, geom.r)
-    h_theta = (hvec(geom.theta + d_theta_step, geom.r) - hvec(geom.theta - d_theta_step, geom.r)) / (
-        2.0 * d_theta_step
+    displaced = (
+        (geom.theta, geom.r),
+        (geom.theta + d_theta_step, geom.r),
+        (geom.theta - d_theta_step, geom.r),
+        (geom.theta, geom.r + d_r_step),
+        (geom.theta, geom.r - d_r_step),
     )
-    h_r = (hvec(geom.theta, geom.r + d_r_step) - hvec(geom.theta, geom.r - d_r_step)) / (
-        2.0 * d_r_step
-    )
+    # one transmit batch for the point and its four displacements; the
+    # errors still surface in that order, a scene's before its successor's
+    geoms, bad_scene = [], None
+    for theta, r in displaced:
+        try:
+            geoms.append(replace(geom, theta=theta, r=r))
+        except CrbEngineError as exc:
+            bad_scene = exc
+            break
+    vecs = []
+    for g, tx in zip(geoms, tx_bundles(layout, geoms, model)):
+        tx = _one(tx).value
+        rx = rx_bundle(n_r, layout.d, layout.lam, g).value
+        mapped = np.conj(tx) if unitary is None else unitary.T @ np.conj(tx)
+        vecs.append(_kron(mapped, rx))
+    if bad_scene is not None:
+        raise bad_scene
+    h0, h_theta_up, h_theta_down, h_r_up, h_r_down = vecs
+    h_theta = (h_theta_up - h_theta_down) / (2.0 * d_theta_step)
+    h_r = (h_r_up - h_r_down) / (2.0 * d_r_step)
 
     beta = alpha * math.sqrt(n_r * n_t)
     root_gain = math.sqrt(n_r * n_t)

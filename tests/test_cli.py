@@ -3,12 +3,14 @@
 import csv
 import io
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import separate_bundles as separate
 from nearfield_crb import (
     SceneGeometry,
     bundle_crb,
@@ -18,7 +20,9 @@ from nearfield_crb import (
     received_gain_sq,
     sw_crb_closed,
 )
+from nearfield_crb import experiment_cli
 from nearfield_crb.errors import (
+    CrbEngineError,
     IllConditioned,
     SingularFisher,
     SingularityNearPi2,
@@ -443,3 +447,114 @@ def test_sweep_error_rows_match_point_by_point(method):
     tilted = replace(SWEEP_SCENE, vartheta=0.1, method=method)
     rows = assert_sweep_matches_points(tilted, "r", 0.5, 30.0, 4)
     assert [row["error_code"] for row in rows] == ["domain_error"] * 4
+
+
+def single_point_rows(cfg, points):
+    """Direct-route rows point by point, through the single-point formulas."""
+    layout = build_layout(cfg)
+    rows = []
+    for r, theta in points:
+        try:
+            geom = SceneGeometry(r=r, theta=theta, big_r=cfg.R, vartheta=cfg.vartheta)
+            nf = separate.bundle_fisher(layout, geom, cfg.N_r, model=cfg.model)
+            bounds = experiment_cli._bounds(cfg, layout, nf)
+            rows.append(experiment_cli._row(cfg, r, theta, *bounds))
+        except CrbEngineError as exc:
+            rows.append(experiment_cli._row(cfg, r, theta, None, None, error_code(exc)))
+    return rows
+
+
+def assert_rows_equal(got, want):
+    # repr tells -0.0 from 0.0 and compares NaN, which == on rows would not
+    assert [repr(row) for row in got] == [repr(row) for row in want]
+
+
+@pytest.mark.parametrize("chunk_points", [None, 3])
+@pytest.mark.parametrize("axis, start, stop", [("r", 0.5, 30.0), ("theta", -1.5, 1.5)])
+@pytest.mark.parametrize("n_r", [1, 4])
+@pytest.mark.parametrize("model", ["sw", "hspw", "pw"])
+def test_direct_sweep_rows_match_single_point_formulas(monkeypatch, model, n_r, axis, start,
+                                                       stop, chunk_points):
+    # K=12, M=128: the real chunk holds 10 points, so 25 points span three
+    # chunks; chunk_points=3 moves the edges
+    cfg = ScenarioConfig(K=12, M=128, I=3, N_r=n_r, R=50.0, r=2.0, theta=0.4, model=model)
+    n_t = build_layout(cfg).n_elements
+    if chunk_points is not None:
+        monkeypatch.setattr(experiment_cli, "DIRECT_CHUNK_ELEMENTS", chunk_points * n_t + n_t - 1)
+    assert experiment_cli.DIRECT_CHUNK_ELEMENTS // n_t < 25
+    rows = run_sweep(cfg, axis, start, stop, 25)
+    grid = [float(v) for v in np.linspace(start, stop, 25)]
+    points = [(v, cfg.theta) if axis == "r" else (cfg.r, v) for v in grid]
+    assert_rows_equal(rows, single_point_rows(cfg, points))
+
+
+@pytest.mark.parametrize("model", ["sw", "hspw", "pw"])
+def test_direct_error_rows_inside_a_chunk_match_single_points(monkeypatch, model):
+    # K=1, M=2: at theta just below pi/2 the sine rounds to 1, so the
+    # target at r = d/2 sits on the element at +d/2; r = 1e155 squares to
+    # inf; r = 0 and an angle of pi/2 fail the scene itself
+    monkeypatch.setattr(experiment_cli, "DIRECT_CHUNK_ELEMENTS", 8)
+    cfg = ScenarioConfig(K=1, M=2, I=0, model=model)
+    near = math.nextafter(math.pi / 2.0, 0.0)
+    points = [(LAM / 8.0, near), (LAM / 4.0, near), (1e155, 0.3), (0.0, 0.3), (1.0, 0.3),
+              (LAM / 2.0, near), (1.0, math.pi / 2.0), (LAM / 4.0, near), (2.0, -0.7)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rows = experiment_cli._rows_on_layout(cfg, points)
+    assert_rows_equal(rows, single_point_rows(cfg, points))
+    codes = [row["error_code"] for row in rows]
+    assert codes[3] == codes[6] == "domain_error"
+    if model == "sw":
+        assert codes[1] == codes[7] == "element_coincidence"
+    if model != "pw":
+        assert codes[2] == "singular_fisher"
+
+
+@pytest.mark.parametrize("n_r", [1, 4])
+@pytest.mark.parametrize("model", ["sw", "hspw", "pw"])
+def test_overflowing_layout_sweep_matches_single_points(model, n_r):
+    # at I = 600 the subarray gap is ~1e178 m: every point has its error
+    cfg = ScenarioConfig(K=3, M=4, I=600, N_r=n_r, theta=0.3, model=model)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rows = run_sweep(cfg, "r", 1.0, 30.0, 7)
+    grid = [float(v) for v in np.linspace(1.0, 30.0, 7)]
+    assert_rows_equal(rows, single_point_rows(cfg, [(v, cfg.theta) for v in grid]))
+    assert all(row["error_code"] for row in rows)
+
+
+def test_direct_sweep_memory_is_bounded_by_the_chunk():
+    # 400 points x 12,288 elements: one batch of the whole sweep would hold
+    # 4.9 M complex entries per bundle vector (79 MB each)
+    cfg = ScenarioConfig(K=48, M=256, I=3, N_r=1, theta=0.3)
+    tracemalloc.start()
+    try:
+        rows = run_sweep(cfg, "r", 2.0, 50.0, 400)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 400 and not any(row["error_code"] for row in rows)
+    assert peak < 16 * 2**20
+
+
+def test_closed_form_edge_where_nu1_vanishes_is_an_error_row(capsys):
+    # r = K D / 2 puts an edge at x = 1, and sin(theta) rounds to 1
+    code, out = run_cli(capsys, ["crb", "--K", "2", "--I", "3", "--model", "hspw",
+                                 "--method", "riemann", "--theta", "1.5707963267948963",
+                                 "--r", "0.20235990915000002"])
+    assert code == 1
+    row = parse_rows(out)[0]
+    assert row["error_code"] == "domain_error"
+    assert row["crb_theta_rad2"] == ""
+
+
+@pytest.mark.parametrize("model, I, code", [
+    ("hspw", 600, "singular_fisher"), ("sw", 600, "element_coincidence"), ("sw", 3, "domain_error"),
+])
+def test_oracle_reports_the_point_error_before_a_displaced_scene_error(model, I, code):
+    # theta + fd_step crosses pi/2, so the oracle's first displaced scene is
+    # invalid; a transmit error at the point itself still comes first
+    cfg = ScenarioConfig(model=model, I=I, theta=math.pi / 2.0 - 5e-7, method="oracle")
+    with np.errstate(over="ignore", invalid="ignore"):
+        row = run_point(cfg)
+    assert row["error_code"] == code

@@ -2,14 +2,17 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+import separate_bundles as separate
 from conftest import seeded, std_wsms
 from nearfield_crb import (
     DegenerateGeometry,
     DomainError,
+    ElementCoincidence,
     InvalidLayout,
     SceneGeometry,
     SingularFisher,
@@ -182,6 +185,74 @@ def test_kronecker_vectors_match_np_kron_bit_for_bit(monkeypatch, model, n_r, th
     want = bits(tx_kron) + bits(composite_bundle(tx_kron, rx))
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
+
+
+def word_bits(x):
+    """A float or complex as its IEEE words, so that -0.0 and 0.0 differ."""
+    return np.array([x]).view(np.uint64).tolist()
+
+
+AMF_FIELDS = ("htheta_sq", "hr_sq", "h_sq", "htheta_h", "hr_h", "htheta_hr")
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 0), (2, 3, 0), (3, 8, 2), (12, 128, 3)])
+@pytest.mark.parametrize("model", ["sw", "hspw", "pw"])
+def test_batched_bundles_and_amfs_are_bit_identical_to_single_points(model, shape):
+    # every row of one batch against the single-point formulas of
+    # separate_bundles, word for word; theta = +-1.5 is near endfire
+    lay = std_wsms(*shape)
+    geoms = [
+        SceneGeometry(r=r, theta=theta, big_r=20.0)
+        for r in (0.05, 1.5, 40.0)
+        for theta in (0.0, 1.5, -1.5, 0.3, -1.1)
+    ]
+    batch = fisher_core.tx_bundles(lay, geoms, model)
+    assert len(batch) == len(geoms)
+    for geom, tx in zip(geoms, batch):
+        want = separate.TX_BUNDLES[model](lay, geom)
+        single = TX_BUNDLES[model](lay, geom)
+        for g, s, w in zip(bits(tx), bits(single), bits(want)):
+            assert np.array_equal(g, w) and np.array_equal(s, w)
+        assert tx.model == single.model == want.model
+        for n_r in (1, 4, 35):
+            rx = rx_bundle(n_r, lay.d, lay.lam, geom)
+            got, ref = amfs(tx, rx), separate.amfs(want, rx)
+            for name in AMF_FIELDS:
+                assert word_bits(getattr(got, name)) == word_bits(getattr(ref, name)), name
+
+
+def test_batched_bundles_give_each_point_its_own_error():
+    # K=1, M=2: at theta just below pi/2 the sine rounds to 1, so the
+    # target at r = d/2 sits on an element; r = 1e155 squares to inf
+    lay = std_wsms(1, 2, 0)
+    theta = math.nextafter(math.pi / 2.0, 0.0)
+    rs = (lay.d / 4.0, lay.d / 2.0, 1e155, lay.d, 1e3)
+    geoms = [SceneGeometry(r=r, theta=theta, big_r=20.0) for r in rs]
+    for model, codes in (
+        ("sw", (None, ElementCoincidence, SingularFisher, None, None)),
+        ("hspw", (None, None, SingularFisher, None, None)),
+        ("pw", (None,) * 5),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            batch = fisher_core.tx_bundles(lay, geoms, model)
+        for geom, tx, code in zip(geoms, batch, codes):
+            if code is not None:
+                assert type(tx) is code
+                with pytest.raises(code):
+                    separate.TX_BUNDLES[model](lay, geom)
+            else:
+                want = separate.TX_BUNDLES[model](lay, geom)
+                for g, w in zip(bits(tx), bits(want)):
+                    assert np.array_equal(g, w)
+
+
+def test_batched_bundles_give_every_point_a_layout_error():
+    geoms = [SceneGeometry(r=r, theta=0.2, big_r=20.0) for r in (1.0, 2.0)]
+    dense = make_dua(2, 3, 0.0015, 0.003)
+    assert [type(tx) for tx in fisher_core.tx_bundles(dense, geoms, "hspw")] == [InvalidLayout] * 2
+    lay = std_wsms(2, 3, 1)
+    assert [type(tx) for tx in fisher_core.tx_bundles(lay, geoms, "nope")] == [DomainError] * 2
 
 
 @pytest.mark.parametrize("model", ["sw", "hspw", "pw"])
