@@ -182,6 +182,12 @@ def _spherical_trio(n: np.ndarray, r, sin, cos, k0: float):
     Returns the values, their theta- and r-derivatives, and each row's error.
     """
     dist, errors = _element_distances(n, r, sin)
+    if any(err is not None for err in errors):
+        # an error row's target moves to the origin, so that its discarded
+        # vectors raise no floating-point warning (k0 n r overflows at a
+        # range near 1e306)
+        keep = np.reshape([err is None for err in errors], np.shape(r))
+        r, sin, cos = (np.where(keep, x, 0.0) for x in (r, sin, cos))
     value = np.exp(-1j * k0 * dist) / math.sqrt(n.size)
     d_theta = value * (1j * k0 * n * r * cos / dist)
     d_r = value * (1j * k0 * (n * sin - r) / dist)
@@ -247,6 +253,8 @@ def tx_bundles(layout: ArrayLayout, geoms: list, model: str) -> list:
     is that bundle, or the engine error the point raises: every point
     raises an error of the layout or the model.
     """
+    if not geoms:
+        return []
     try:
         if model not in _TX_BATCHES:
             raise DomainError(f"unknown wave model {model!r}")
@@ -531,35 +539,22 @@ def full_fisher_oracle(
     else:
         unitary = None
 
-    d_theta_step = fd_step
-    d_r_step = fd_step * geom.r
-    displaced = (
-        (geom.theta, geom.r),
-        (geom.theta + d_theta_step, geom.r),
-        (geom.theta - d_theta_step, geom.r),
-        (geom.theta, geom.r + d_r_step),
-        (geom.theta, geom.r - d_r_step),
-    )
-    # one transmit batch for the point and its four displacements; the
-    # errors still surface in that order, a scene's before its successor's
-    geoms, bad_scene = [], None
-    for theta, r in displaced:
-        try:
-            geoms.append(replace(geom, theta=theta, r=r))
-        except CrbEngineError as exc:
-            bad_scene = exc
-            break
-    vecs = []
-    for g, tx in zip(geoms, tx_bundles(layout, geoms, model)):
-        tx = _one(tx).value
+    def hvec(theta: float, r: float) -> np.ndarray:
+        g = replace(geom, theta=theta, r=r)
+        tx = _one(tx_bundles(layout, [g], model)[0]).value
         rx = rx_bundle(n_r, layout.d, layout.lam, g).value
         mapped = np.conj(tx) if unitary is None else unitary.T @ np.conj(tx)
-        vecs.append(_kron(mapped, rx))
-    if bad_scene is not None:
-        raise bad_scene
-    h0, h_theta_up, h_theta_down, h_r_up, h_r_down = vecs
-    h_theta = (h_theta_up - h_theta_down) / (2.0 * d_theta_step)
-    h_r = (h_r_up - h_r_down) / (2.0 * d_r_step)
+        return _kron(mapped, rx)
+
+    d_theta_step = fd_step
+    d_r_step = fd_step * geom.r
+    h0 = hvec(geom.theta, geom.r)
+    h_theta = (hvec(geom.theta + d_theta_step, geom.r) - hvec(geom.theta - d_theta_step, geom.r)) / (
+        2.0 * d_theta_step
+    )
+    h_r = (hvec(geom.theta, geom.r + d_r_step) - hvec(geom.theta, geom.r - d_r_step)) / (
+        2.0 * d_r_step
+    )
 
     beta = alpha * math.sqrt(n_r * n_t)
     root_gain = math.sqrt(n_r * n_t)

@@ -548,13 +548,42 @@ def test_closed_form_edge_where_nu1_vanishes_is_an_error_row(capsys):
     assert row["crb_theta_rad2"] == ""
 
 
-@pytest.mark.parametrize("model, I, code", [
-    ("hspw", 600, "singular_fisher"), ("sw", 600, "element_coincidence"), ("sw", 3, "domain_error"),
-])
-def test_oracle_reports_the_point_error_before_a_displaced_scene_error(model, I, code):
-    # theta + fd_step crosses pi/2, so the oracle's first displaced scene is
-    # invalid; a transmit error at the point itself still comes first
-    cfg = ScenarioConfig(model=model, I=I, theta=math.pi / 2.0 - 5e-7, method="oracle")
-    with np.errstate(over="ignore", invalid="ignore"):
+
+@pytest.mark.parametrize("r, theta", [(0.0, 0.3), (1.0, math.pi / 2.0), (1.0, 2.0)])
+@pytest.mark.parametrize("model", ["sw", "hspw", "pw"])
+def test_point_with_an_invalid_scene_is_a_domain_error_row(model, r, theta):
+    # the point's chunk holds no valid scene at all
+    row = run_point(ScenarioConfig(model=model, r=r, theta=theta))
+    assert row["error_code"] == "domain_error"
+    assert row["crb_theta_rad2"] is None
+
+
+@pytest.mark.parametrize("axis, start, stop", [("theta", -1.0, 4.0), ("r", -3.0, 2.0)])
+@pytest.mark.parametrize("model", ["sw", "hspw", "pw"])
+def test_direct_chunks_of_only_invalid_scenes_match_single_points(monkeypatch, model, axis,
+                                                                  start, stop):
+    # two points a chunk: the sweep's last (theta) or first (r) chunks hold
+    # invalid scenes only
+    cfg = ScenarioConfig(K=3, M=16, I=4, N_r=4, r=2.0, theta=0.4, model=model)
+    monkeypatch.setattr(experiment_cli, "DIRECT_CHUNK_ELEMENTS", 2 * build_layout(cfg).n_elements)
+    rows = run_sweep(cfg, axis, start, stop, 11)
+    grid = [float(v) for v in np.linspace(start, stop, 11)]
+    points = [(v, cfg.theta) if axis == "r" else (cfg.r, v) for v in grid]
+    assert_rows_equal(rows, single_point_rows(cfg, points))
+    assert sum(row["error_code"] == "domain_error" for row in rows) >= 4
+
+
+@pytest.mark.parametrize("model", ["sw", "hspw", "pw"])
+def test_huge_range_is_a_quiet_error_row(monkeypatch, model):
+    # r * r overflows; k0 n r on the discarded row would overflow too
+    monkeypatch.setattr(experiment_cli, "DIRECT_CHUNK_ELEMENTS", 3 * 3 * 128)
+    cfg = ScenarioConfig(model=model, r=1e306)
+    points = [(1e306, 0.0), (2.0, 0.3), (1e306, -0.4), (5.0, 0.0), (1e306, 1.2)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         row = run_point(cfg)
-    assert row["error_code"] == code
+        rows = experiment_cli._rows_on_layout(cfg, points)
+        want = single_point_rows(cfg, points)
+    assert row["error_code"] == "singular_fisher"
+    assert_rows_equal([row], want[:1])
+    assert_rows_equal(rows, want)

@@ -247,6 +247,13 @@ def test_batched_bundles_give_each_point_its_own_error():
                     assert np.array_equal(g, w)
 
 
+@pytest.mark.parametrize("model", ["sw", "hspw", "pw"])
+def test_empty_batch_gives_no_bundles(model):
+    lay = std_wsms(2, 3, 0)
+    assert fisher_core.tx_bundles(lay, [], model) == []
+    assert fisher_core.bundle_fishers(lay, [], 4, model=model) == []
+
+
 def test_batched_bundles_give_every_point_a_layout_error():
     geoms = [SceneGeometry(r=r, theta=0.2, big_r=20.0) for r in (1.0, 2.0)]
     dense = make_dua(2, 3, 0.0015, 0.003)
