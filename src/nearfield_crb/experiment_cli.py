@@ -43,7 +43,6 @@ from .crb_analytic import hspw_crb_asymptotes, sums_fisher
 from .errors import CrbEngineError, DomainError, SingularFisher, error_code
 from .fisher_core import (
     NormalizedFisher,
-    bundle_fisher,
     bundle_fishers,
     crb,
     crb_theta_only,
@@ -176,6 +175,17 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         raise ConfigError(f"method must be one of {METHODS} (or 'closed'), got {cfg.method!r}")
     if cfg.model == "pw" and cfg.method == "riemann":
         raise ConfigError("the planar model has no closed-form route; use --method direct")
+    # a zero gain or an underflowing noise power stays a domain_error row
+    try:
+        cfg.sigma_n_sq
+    except OverflowError:
+        raise ConfigError(f"snr_db={cfg.snr_db!r} gives a noise power that overflows") from None
+    try:
+        gain = received_gain_sq(cfg.alpha, cfg.N_r, cfg.K * cfg.M)
+    except OverflowError:
+        gain = math.inf
+    if not gain < math.inf:
+        raise ConfigError(f"alpha={cfg.alpha!r} must be finite, with |alpha|^2 N_r K M finite")
     return cfg
 
 
@@ -199,18 +209,19 @@ def build_layout(cfg: ScenarioConfig) -> ArrayLayout:
     return make_dua(cfg.K, cfg.M, cfg.d, cfg.lam)
 
 
-def _evaluate(cfg: ScenarioConfig, layout: ArrayLayout, geom: SceneGeometry):
-    """Dispatch one point; returns (crb_theta, crb_r, error_code)."""
+def _evaluate(cfg: ScenarioConfig, layout: ArrayLayout, outcome):
+    """(crb_theta, crb_r, error_code) of one point from its engine error
+    (raised), its direct-route Fisher block, or its oracle or closed-form scene."""
+    if isinstance(outcome, CrbEngineError):
+        raise outcome
     if cfg.method == "oracle":
         res = full_fisher_oracle(
-            layout, geom, cfg.N_r, model=cfg.model, alpha=cfg.alpha, sigma_n_sq=cfg.sigma_n_sq
+            layout, outcome, cfg.N_r, model=cfg.model, alpha=cfg.alpha, sigma_n_sq=cfg.sigma_n_sq
         )
         return res.crb_theta, res.crb_r, ""
-    if cfg.method == "direct":
-        nf = bundle_fisher(layout, geom, cfg.N_r, model=cfg.model)
-    else:
-        nf = sums_fisher(layout, geom, cfg.N_r, model=cfg.model, method=cfg.method)
-    return _bounds(cfg, layout, nf)
+    if cfg.method == "riemann":
+        outcome = sums_fisher(layout, outcome, cfg.N_r, model=cfg.model, method=cfg.method)
+    return _bounds(cfg, layout, outcome)
 
 
 def _bounds(cfg: ScenarioConfig, layout: ArrayLayout, nf: NormalizedFisher):
@@ -257,39 +268,19 @@ def _row(cfg: ScenarioConfig, r: float, theta: float, crb_theta, crb_r, code: st
     }
 
 
-# Transmit elements, summed over the points, that one direct-route batch
-# builds at once.  Peak RSS of ``bench/run.py --workload figures`` (8 s runs,
-# 2-core Xeon VM): 38.3 MB one point at a time; 38.5, 39.1, 42.3 and 44.2 MB
-# at 2**12, 2**14, 2**16 and no limit, at 10.2k, 11.6k, 10.9k and 11.1k
-# rows/s.  2**14 is the fastest and stays within 3% of one point at a time.
-DIRECT_CHUNK_ELEMENTS = 2**14
-
-
-def _rows_on_layout(cfg: ScenarioConfig, points) -> list:
+def _rows_on_layout(cfg: ScenarioConfig, points, layout: ArrayLayout | None = None) -> list:
     """One row per (r, theta) in ``points``, the other fields from cfg.
 
-    The layout does not depend on r or theta, so it is built once.  On the
-    direct route the transmit bundles of up to ``DIRECT_CHUNK_ELEMENTS``
-    elements' worth of points are built in one batch.  Engine errors become
-    error-code rows, each point's own; a layout that fails to build gives
-    every point its error.
+    Every evaluated CLI row comes from here.  The layout does not depend on
+    r or theta: it is built once from cfg unless the caller passes one.  The
+    direct route gets every block from one ``bundle_fishers`` call, which
+    bounds its own batches.  Engine errors become error-code rows, each
+    point's own, a scene's error first, a layout's error on every point.
     """
     try:
-        layout = build_layout(cfg)
+        layout = build_layout(cfg) if layout is None else layout
     except CrbEngineError as exc:
-        code = error_code(exc)
-        return [_row(cfg, r, theta, None, None, code) for r, theta in points]
-    step = len(points) or 1
-    if cfg.method == "direct":
-        step = max(1, DIRECT_CHUNK_ELEMENTS // layout.n_elements)
-    rows = []
-    for start in range(0, len(points), step):
-        rows.extend(_chunk_rows(cfg, layout, points[start : start + step]))
-    return rows
-
-
-def _chunk_rows(cfg: ScenarioConfig, layout: ArrayLayout, points) -> list:
-    """Rows of one chunk of points; a scene's own error comes first."""
+        return [_row(cfg, r, theta, None, None, error_code(exc)) for r, theta in points]
     outcomes = []
     for r, theta in points:
         try:
@@ -303,13 +294,7 @@ def _chunk_rows(cfg: ScenarioConfig, layout: ArrayLayout, points) -> list:
     rows = []
     for (r, theta), outcome in zip(points, outcomes):
         try:
-            if isinstance(outcome, CrbEngineError):
-                raise outcome
-            if isinstance(outcome, NormalizedFisher):
-                bounds = _bounds(cfg, layout, outcome)
-            else:
-                bounds = _evaluate(cfg, layout, outcome)
-            rows.append(_row(cfg, r, theta, *bounds))
+            rows.append(_row(cfg, r, theta, *_evaluate(cfg, layout, outcome)))
         except CrbEngineError as exc:
             rows.append(_row(cfg, r, theta, None, None, error_code(exc)))
     return rows
@@ -326,9 +311,7 @@ def run_sweep(cfg: ScenarioConfig, axis: str, start: float, stop: float, steps: 
         if steps < 2:
             raise ConfigError(f"steps must be >= 2, got {steps!r}")
         grid = [float(v) for v in np.linspace(start, stop, steps)]
-        if axis == "r":
-            return _rows_on_layout(cfg, [(v, cfg.theta) for v in grid])
-        return _rows_on_layout(cfg, [(cfg.r, v) for v in grid])
+        return _rows_on_layout(cfg, [(v, cfg.theta) if axis == "r" else (cfg.r, v) for v in grid])
     for v in (start, stop):
         if not math.isfinite(v) or v != int(v):
             raise ConfigError(f"axis {axis!r} needs integer bounds, got {v!r}")
@@ -417,18 +400,13 @@ def fig8_rows() -> list:
     multiplied by c and the subarray pitch divided by c.
     """
     rows = []
-    lam = C_LIGHT / 1e11
-    d = lam / 2.0
-    m = 128
-    base = make_wsms(3, m, d, d0_from_exponent(10, lam), lam)
-    total = 3 * base.big_d
-    geom = SceneGeometry(r=10.0, theta=math.pi / 4.0, big_r=50.0)
+    base = ScenarioConfig(N_r=1, theta=math.pi / 4.0, r=10.0)
+    total = 3 * build_layout(replace(base, I=10)).big_d
     for k in (3, 6, 12, 24):
-        lay = make_wsms(k, m, d, total / k - (m - 1) * d, lam)
+        lay = make_wsms(k, base.M, base.d, total / k - (base.M - 1) * base.d, base.lam)
         for method in ("direct", "riemann"):
-            cfg = ScenarioConfig(K=k, N_r=1, theta=geom.theta, r=geom.r, method=method)
-            crb_theta_val, crb_r_val, code = _evaluate(cfg, lay, geom)
-            row = _row(cfg, cfg.r, cfg.theta, crb_theta_val, crb_r_val, code)
+            cfg = replace(base, K=k, method=method)
+            (row,) = _rows_on_layout(cfg, [(cfg.r, cfg.theta)], lay)
             row["I"] = None
             rows.append(row)
     return rows

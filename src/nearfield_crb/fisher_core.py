@@ -29,7 +29,9 @@ Transmit bundles are built per batch of points on one layout
 in-subarray offsets are computed once, and each vector is one row of a
 (points, elements) array.  Every element keeps the single point's
 operations in their order, so each row is bit for bit the bundle of its
-point alone; a single point is the one-row batch.
+point alone; a single point is the one-row batch.  ``bundle_fishers``
+bounds its own memory: it reduces each batch of ``BATCH_ELEMENTS``
+transmit elements to its Fisher blocks before it builds the next.
 """
 
 from __future__ import annotations
@@ -370,6 +372,9 @@ DECOUPLED_REL_TOL = 1e-12
 # Largest entry of (balanced Fisher) @ (its inverse) - I the oracle accepts.
 ORACLE_RESIDUAL_TOL = 1e-6
 
+# The oracle's central-difference step: in rad for theta, relative for r.
+ORACLE_FD_STEP = 1e-6
+
 _EPS = float(np.finfo(float).eps)
 
 
@@ -487,13 +492,30 @@ def bundle_fisher(
     return _one(bundle_fishers(layout, [geom], n_r, model=model)[0])
 
 
+# Transmit elements, summed over the points, that one batch builds at once.
+# Peak RSS of ``bench/run.py --workload figures`` (8 s runs, 2-core Xeon
+# VM): 38.3 MB one point at a time; 38.5, 39.1, 42.3 and 44.2 MB at 2**12,
+# 2**14, 2**16 and no limit, at 10.2k, 11.6k, 10.9k and 11.1k rows/s.
+# 2**14 is the fastest and stays within 3% of one point at a time.
+BATCH_ELEMENTS = 2**14
+
+
 def bundle_fishers(layout: ArrayLayout, geoms: list, n_r: int, *, model: str = "sw") -> list:
-    """``bundle_fisher`` at each geometry, the transmit bundles built in one pass.
+    """``bundle_fisher`` at each geometry, the transmit bundles built per batch.
 
     Entry p is the block at geoms[p], or the engine error ``bundle_fisher``
-    raises there: a transmit error before a receive error.  The batch holds
-    every point's transmit vectors at once, so callers bound its size.
+    raises there: a transmit error before a receive error.  Each batch holds
+    at most ``BATCH_ELEMENTS`` transmit elements (and at least one point),
+    and is built and consumed inside one ``_batch_fishers`` call, so none of
+    its vectors is alive when the next batch is allocated.
     """
+    step = max(1, BATCH_ELEMENTS // layout.n_elements)
+    batches = (geoms[start : start + step] for start in range(0, len(geoms), step))
+    return [out for batch in batches for out in _batch_fishers(layout, batch, n_r, model)]
+
+
+def _batch_fishers(layout: ArrayLayout, geoms: list, n_r: int, model: str) -> list:
+    """The blocks (or errors) of one batch, its transmit bundles built in one pass."""
     out = []
     for geom, tx in zip(geoms, tx_bundles(layout, geoms, model)):
         if isinstance(tx, CrbEngineError):
@@ -515,7 +537,6 @@ def full_fisher_oracle(
     model: str = "sw",
     alpha: complex = 1.0 + 0.0j,
     sigma_n_sq: float = 1.0,
-    fd_step: float = 1e-6,
     training: str = "implicit",
 ) -> OracleResult:
     """Independent 4x4 Fisher oracle built from finite differences.
@@ -527,10 +548,10 @@ def full_fisher_oracle(
     explicit unitary training map first, which must leave the result
     unchanged (ideal-training identity).
     """
-    if not 1e-8 <= fd_step <= 1e-4:
-        raise DomainError(f"fd_step must lie in [1e-8, 1e-4], got {fd_step!r}")
     if model not in _TX_BATCHES:
         raise DomainError(f"unknown wave model {model!r}")
+    if not (abs(alpha) > 0.0 and sigma_n_sq > 0.0):
+        raise DomainError(f"need alpha != 0 and sigma_n_sq > 0, got {alpha!r}, {sigma_n_sq!r}")
     if training not in ("implicit", "dft"):
         raise DomainError(f"unknown training map {training!r}")
     n_t = layout.n_elements
@@ -546,8 +567,8 @@ def full_fisher_oracle(
         mapped = np.conj(tx) if unitary is None else unitary.T @ np.conj(tx)
         return _kron(mapped, rx)
 
-    d_theta_step = fd_step
-    d_r_step = fd_step * geom.r
+    d_theta_step = ORACLE_FD_STEP
+    d_r_step = ORACLE_FD_STEP * geom.r
     h0 = hvec(geom.theta, geom.r)
     h_theta = (hvec(geom.theta + d_theta_step, geom.r) - hvec(geom.theta - d_theta_step, geom.r)) / (
         2.0 * d_theta_step

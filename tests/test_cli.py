@@ -16,11 +16,13 @@ from nearfield_crb import (
     bundle_crb,
     bundle_fisher,
     crb_theta_only,
+    d0_from_exponent,
     hspw_crb_closed,
+    make_wsms,
     received_gain_sq,
     sw_crb_closed,
 )
-from nearfield_crb import experiment_cli
+from nearfield_crb import experiment_cli, fisher_core
 from nearfield_crb.errors import (
     CrbEngineError,
     IllConditioned,
@@ -145,6 +147,29 @@ def test_unknown_config_key_exits_two(capsys, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("flag", ["--alpha=inf+0j", "--alpha=nan+0j", "--alpha=1e200+0j",
+                                  "--alpha=1e154+0j", "--snr_db=-3090"])
+def test_non_finite_gain_or_noise_exits_two(capsys, method, flag):
+    # a non-finite alpha, a noise power 10^(-snr_db/10) that overflows, or a
+    # gain |alpha|^2 N_r K M that overflows (1e154^2 * 384 does)
+    with pytest.raises(SystemExit) as exc:
+        main(["crb", "--method", method, flag])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("flag", ["--alpha=0j", "--snr_db=4000"])
+def test_zero_gain_or_noise_is_a_domain_error_row(capsys, method, flag):
+    # 10^(-400) underflows to a zero noise power
+    code, out = run_cli(capsys, ["crb", "--method", method, flag])
+    assert code == 1
+    row = parse_rows(out)[0]
+    assert row["error_code"] == "domain_error"
+    assert row["crb_theta_rad2"] == row["crb_r_m2"] == ""
+
+
 def test_pw_riemann_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["crb", *DESK, "--model", "pw", "--method", "riemann"])
@@ -238,6 +263,17 @@ def test_figure_scaling_rows(capsys):
     products = [k * v for k, v in sorted(riemann.items())]
     for p in products[1:]:
         assert math.isclose(p, products[0], rel_tol=1e-9)
+    # the direct rows are the exact route on each K's fixed-aperture layout
+    lam = experiment_cli.C_LIGHT / 1e11
+    d = lam / 2.0
+    total = 3 * make_wsms(3, 128, d, d0_from_exponent(10, lam), lam).big_d
+    geom = SceneGeometry(r=10.0, theta=math.pi / 4.0, big_r=50.0)
+    direct = [row for row in rows if row["method"] == "direct"]
+    assert [int(row["K"]) for row in direct] == [3, 6, 12, 24]
+    for row in direct:
+        k = int(row["K"])
+        ref = bundle_crb(make_wsms(k, 128, d, total / k - 127 * d, lam), geom, 1)
+        assert (row["crb_theta_rad2"], row["crb_r_m2"]) == (repr(ref.crb_theta), repr(ref.crb_r))
 
 
 def test_figure_layout_comparison_rows(capsys):
@@ -475,13 +511,13 @@ def assert_rows_equal(got, want):
 @pytest.mark.parametrize("model", ["sw", "hspw", "pw"])
 def test_direct_sweep_rows_match_single_point_formulas(monkeypatch, model, n_r, axis, start,
                                                        stop, chunk_points):
-    # K=12, M=128: the real chunk holds 10 points, so 25 points span three
-    # chunks; chunk_points=3 moves the edges
+    # K=12, M=128: the real batch holds 10 points, so 25 points span three
+    # batches; chunk_points=3 moves the edges
     cfg = ScenarioConfig(K=12, M=128, I=3, N_r=n_r, R=50.0, r=2.0, theta=0.4, model=model)
     n_t = build_layout(cfg).n_elements
     if chunk_points is not None:
-        monkeypatch.setattr(experiment_cli, "DIRECT_CHUNK_ELEMENTS", chunk_points * n_t + n_t - 1)
-    assert experiment_cli.DIRECT_CHUNK_ELEMENTS // n_t < 25
+        monkeypatch.setattr(fisher_core, "BATCH_ELEMENTS", chunk_points * n_t + n_t - 1)
+    assert fisher_core.BATCH_ELEMENTS // n_t < 25
     rows = run_sweep(cfg, axis, start, stop, 25)
     grid = [float(v) for v in np.linspace(start, stop, 25)]
     points = [(v, cfg.theta) if axis == "r" else (cfg.r, v) for v in grid]
@@ -493,7 +529,7 @@ def test_direct_error_rows_inside_a_chunk_match_single_points(monkeypatch, model
     # K=1, M=2: at theta just below pi/2 the sine rounds to 1, so the
     # target at r = d/2 sits on the element at +d/2; r = 1e155 squares to
     # inf; r = 0 and an angle of pi/2 fail the scene itself
-    monkeypatch.setattr(experiment_cli, "DIRECT_CHUNK_ELEMENTS", 8)
+    monkeypatch.setattr(fisher_core, "BATCH_ELEMENTS", 8)
     cfg = ScenarioConfig(K=1, M=2, I=0, model=model)
     near = math.nextafter(math.pi / 2.0, 0.0)
     points = [(LAM / 8.0, near), (LAM / 4.0, near), (1e155, 0.3), (0.0, 0.3), (1.0, 0.3),
@@ -552,7 +588,7 @@ def test_closed_form_edge_where_nu1_vanishes_is_an_error_row(capsys):
 @pytest.mark.parametrize("r, theta", [(0.0, 0.3), (1.0, math.pi / 2.0), (1.0, 2.0)])
 @pytest.mark.parametrize("model", ["sw", "hspw", "pw"])
 def test_point_with_an_invalid_scene_is_a_domain_error_row(model, r, theta):
-    # the point's chunk holds no valid scene at all
+    # the scene is invalid, so no batch is built at all
     row = run_point(ScenarioConfig(model=model, r=r, theta=theta))
     assert row["error_code"] == "domain_error"
     assert row["crb_theta_rad2"] is None
@@ -562,10 +598,10 @@ def test_point_with_an_invalid_scene_is_a_domain_error_row(model, r, theta):
 @pytest.mark.parametrize("model", ["sw", "hspw", "pw"])
 def test_direct_chunks_of_only_invalid_scenes_match_single_points(monkeypatch, model, axis,
                                                                   start, stop):
-    # two points a chunk: the sweep's last (theta) or first (r) chunks hold
-    # invalid scenes only
+    # two points a batch: the sweep's last (theta) or first (r) points are
+    # invalid scenes, which never reach a batch
     cfg = ScenarioConfig(K=3, M=16, I=4, N_r=4, r=2.0, theta=0.4, model=model)
-    monkeypatch.setattr(experiment_cli, "DIRECT_CHUNK_ELEMENTS", 2 * build_layout(cfg).n_elements)
+    monkeypatch.setattr(fisher_core, "BATCH_ELEMENTS", 2 * build_layout(cfg).n_elements)
     rows = run_sweep(cfg, axis, start, stop, 11)
     grid = [float(v) for v in np.linspace(start, stop, 11)]
     points = [(v, cfg.theta) if axis == "r" else (cfg.r, v) for v in grid]
@@ -576,7 +612,7 @@ def test_direct_chunks_of_only_invalid_scenes_match_single_points(monkeypatch, m
 @pytest.mark.parametrize("model", ["sw", "hspw", "pw"])
 def test_huge_range_is_a_quiet_error_row(monkeypatch, model):
     # r * r overflows; k0 n r on the discarded row would overflow too
-    monkeypatch.setattr(experiment_cli, "DIRECT_CHUNK_ELEMENTS", 3 * 3 * 128)
+    monkeypatch.setattr(fisher_core, "BATCH_ELEMENTS", 3 * 3 * 128)
     cfg = ScenarioConfig(model=model, r=1e306)
     points = [(1e306, 0.0), (2.0, 0.3), (1e306, -0.4), (5.0, 0.0), (1e306, 1.2)]
     with warnings.catch_warnings():

@@ -277,6 +277,26 @@ def test_bundle_fisher_allocates_no_composite_vector(model):
     assert peak < 16 * 2**20
 
 
+@pytest.mark.parametrize("model", ["sw", "hspw", "pw"])
+def test_bundle_fishers_releases_each_batch(model):
+    # K=12, M=128: a batch holds 10 points, so 40 points are four batches;
+    # a batch still alive when the next is built would raise the peak
+    lay = std_wsms(12, 128, 3)
+    step = fisher_core.BATCH_ELEMENTS // lay.n_elements
+    geoms = [SceneGeometry(r=2.0 + 0.5 * p, theta=0.4, big_r=50.0) for p in range(4 * step)]
+
+    def peak(points):
+        tracemalloc.start()
+        try:
+            fisher_core.bundle_fishers(lay, points, 4, model=model)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(geoms[:step])
+    assert peak(geoms) <= 1.1 * peak(geoms[:step])
+
+
 # ---------------------------------------------------------------------------
 # normalized Fisher block and bounds
 # ---------------------------------------------------------------------------
@@ -454,8 +474,6 @@ def test_oracle_scales_with_noise_and_gain():
 def test_oracle_validation():
     lay = std_wsms(2, 4, 2)
     geom = SceneGeometry(r=0.1, theta=0.35, big_r=2.0)
-    with pytest.raises(DomainError):
-        full_fisher_oracle(lay, geom, 2, fd_step=1e-3)
     with pytest.raises(DomainError):
         full_fisher_oracle(lay, geom, 2, model="nope")
     with pytest.raises(DomainError):
