@@ -210,10 +210,7 @@ def build_layout(cfg: ScenarioConfig) -> ArrayLayout:
 
 
 def _evaluate(cfg: ScenarioConfig, layout: ArrayLayout, outcome):
-    """(crb_theta, crb_r, error_code) of one point from its engine error
-    (raised), its direct-route Fisher block, or its oracle or closed-form scene."""
-    if isinstance(outcome, CrbEngineError):
-        raise outcome
+    """(crb_theta, crb_r, error_code) of a direct-route block or an oracle/closed-form scene."""
     if cfg.method == "oracle":
         res = full_fisher_oracle(
             layout, outcome, cfg.N_r, model=cfg.model, alpha=cfg.alpha, sigma_n_sq=cfg.sigma_n_sq
@@ -291,12 +288,16 @@ def _rows_on_layout(cfg: ScenarioConfig, points, layout: ArrayLayout | None = No
         geoms = [g for g in outcomes if isinstance(g, SceneGeometry)]
         blocks = iter(bundle_fishers(layout, geoms, cfg.N_r, model=cfg.model))
         outcomes = [next(blocks) if isinstance(g, SceneGeometry) else g for g in outcomes]
+    # errors are not raised here: one shared by many points would grow its traceback
     rows = []
     for (r, theta), outcome in zip(points, outcomes):
-        try:
-            rows.append(_row(cfg, r, theta, *_evaluate(cfg, layout, outcome)))
-        except CrbEngineError as exc:
-            rows.append(_row(cfg, r, theta, None, None, error_code(exc)))
+        if not isinstance(outcome, CrbEngineError):
+            try:
+                outcome = _evaluate(cfg, layout, outcome)
+            except CrbEngineError as exc:
+                outcome = exc
+        bounds = (None, None, error_code(outcome)) if isinstance(outcome, CrbEngineError) else outcome
+        rows.append(_row(cfg, r, theta, *bounds))
     return rows
 
 

@@ -504,10 +504,9 @@ def bundle_fishers(layout: ArrayLayout, geoms: list, n_r: int, *, model: str = "
     """``bundle_fisher`` at each geometry, the transmit bundles built per batch.
 
     Entry p is the block at geoms[p], or the engine error ``bundle_fisher``
-    raises there: a transmit error before a receive error.  Each batch holds
-    at most ``BATCH_ELEMENTS`` transmit elements (and at least one point),
-    and is built and consumed inside one ``_batch_fishers`` call, so none of
-    its vectors is alive when the next batch is allocated.
+    raises there: a transmit error before a receive error.  A batch holds at
+    most ``BATCH_ELEMENTS`` transmit elements (at least one point) and lives
+    only inside its ``_batch_fishers`` call, so it is freed before the next.
     """
     step = max(1, BATCH_ELEMENTS // layout.n_elements)
     batches = (geoms[start : start + step] for start in range(0, len(geoms), step))

@@ -26,6 +26,7 @@ from nearfield_crb import experiment_cli, fisher_core
 from nearfield_crb.errors import (
     CrbEngineError,
     IllConditioned,
+    InvalidLayout,
     SingularFisher,
     SingularityNearPi2,
     error_code,
@@ -623,3 +624,14 @@ def test_huge_range_is_a_quiet_error_row(monkeypatch, model):
     assert row["error_code"] == "singular_fisher"
     assert_rows_equal([row], want[:1])
     assert_rows_equal(rows, want)
+
+
+def test_error_shared_by_a_sweep_is_not_raised_per_point(monkeypatch):
+    # a batch's layout error is one object for all its points; raising it
+    # once a point would chain one traceback entry a point onto it
+    shared = InvalidLayout("shared")
+    monkeypatch.setattr(experiment_cli, "bundle_fishers",
+                        lambda layout, geoms, n_r, *, model: [shared] * len(geoms))
+    rows = run_sweep(ScenarioConfig(K=3, M=16, I=4, theta=0.3), "r", 1.0, 2.0, 50)
+    assert [row["error_code"] for row in rows] == ["invalid_layout"] * 50
+    assert shared.__traceback__ is None

@@ -477,4 +477,8 @@ def test_oracle_validation():
     with pytest.raises(DomainError):
         full_fisher_oracle(lay, geom, 2, model="nope")
     with pytest.raises(DomainError):
+        full_fisher_oracle(lay, geom, 2, alpha=0.0)
+    with pytest.raises(DomainError):
+        full_fisher_oracle(lay, geom, 2, sigma_n_sq=0.0)
+    with pytest.raises(DomainError):
         full_fisher_oracle(lay, geom, 2, training="hadamard")
