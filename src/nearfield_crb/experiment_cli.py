@@ -210,15 +210,24 @@ def build_layout(cfg: ScenarioConfig) -> ArrayLayout:
 
 
 def _evaluate(cfg: ScenarioConfig, layout: ArrayLayout, outcome):
-    """(crb_theta, crb_r, error_code) of a direct-route block or an oracle/closed-form scene."""
-    if cfg.method == "oracle":
-        res = full_fisher_oracle(
-            layout, outcome, cfg.N_r, model=cfg.model, alpha=cfg.alpha, sigma_n_sq=cfg.sigma_n_sq
-        )
-        return res.crb_theta, res.crb_r, ""
-    if cfg.method == "riemann":
-        outcome = sums_fisher(layout, outcome, cfg.N_r, model=cfg.model, method=cfg.method)
-    return _bounds(cfg, layout, outcome)
+    """(crb_theta, crb_r, error_code) of one point's outcome.
+
+    The outcome is the point's engine error, its direct-route block, or its
+    scene for the oracle or closed form.  The error is not raised: it can be
+    shared by many points, and each raise would lengthen its traceback.
+    """
+    if isinstance(outcome, CrbEngineError):
+        return None, None, error_code(outcome)
+    try:
+        if cfg.method == "oracle":
+            res = full_fisher_oracle(layout, outcome, cfg.N_r, model=cfg.model, alpha=cfg.alpha,
+                                     sigma_n_sq=cfg.sigma_n_sq)
+            return res.crb_theta, res.crb_r, ""
+        if cfg.method == "riemann":
+            outcome = sums_fisher(layout, outcome, cfg.N_r, model=cfg.model, method=cfg.method)
+        return _bounds(cfg, layout, outcome)
+    except CrbEngineError as exc:
+        return None, None, error_code(exc)
 
 
 def _bounds(cfg: ScenarioConfig, layout: ArrayLayout, nf: NormalizedFisher):
@@ -288,17 +297,7 @@ def _rows_on_layout(cfg: ScenarioConfig, points, layout: ArrayLayout | None = No
         geoms = [g for g in outcomes if isinstance(g, SceneGeometry)]
         blocks = iter(bundle_fishers(layout, geoms, cfg.N_r, model=cfg.model))
         outcomes = [next(blocks) if isinstance(g, SceneGeometry) else g for g in outcomes]
-    # errors are not raised here: one shared by many points would grow its traceback
-    rows = []
-    for (r, theta), outcome in zip(points, outcomes):
-        if not isinstance(outcome, CrbEngineError):
-            try:
-                outcome = _evaluate(cfg, layout, outcome)
-            except CrbEngineError as exc:
-                outcome = exc
-        bounds = (None, None, error_code(outcome)) if isinstance(outcome, CrbEngineError) else outcome
-        rows.append(_row(cfg, r, theta, *bounds))
-    return rows
+    return [_row(cfg, *point, *_evaluate(cfg, layout, o)) for point, o in zip(points, outcomes)]
 
 
 def run_point(cfg: ScenarioConfig) -> dict:

@@ -524,7 +524,8 @@ def _batch_fishers(layout: ArrayLayout, geoms: list, n_r: int, model: str) -> li
             rx = rx_bundle(n_r, layout.d, layout.lam, geom)
             out.append(normalized_fisher(amfs(tx, rx)))
         except CrbEngineError as exc:
-            out.append(exc)
+            # kept without its traceback, whose frames would hold this batch
+            out.append(exc.with_traceback(None))
     return out
 
 

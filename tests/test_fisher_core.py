@@ -277,13 +277,16 @@ def test_bundle_fisher_allocates_no_composite_vector(model):
     assert peak < 16 * 2**20
 
 
+@pytest.mark.parametrize("vartheta", [0.0, 0.1])
 @pytest.mark.parametrize("model", ["sw", "hspw", "pw"])
-def test_bundle_fishers_releases_each_batch(model):
+def test_bundle_fishers_releases_each_batch(model, vartheta):
     # K=12, M=128: a batch holds 10 points, so 40 points are four batches;
-    # a batch still alive when the next is built would raise the peak
+    # a batch still alive when the next is built would raise the peak.  A
+    # tilted receiver makes every point a receive-side error.
     lay = std_wsms(12, 128, 3)
     step = fisher_core.BATCH_ELEMENTS // lay.n_elements
-    geoms = [SceneGeometry(r=2.0 + 0.5 * p, theta=0.4, big_r=50.0) for p in range(4 * step)]
+    geoms = [SceneGeometry(r=2.0 + 0.5 * p, theta=0.4, big_r=50.0, vartheta=vartheta)
+             for p in range(4 * step)]
 
     def peak(points):
         tracemalloc.start()
