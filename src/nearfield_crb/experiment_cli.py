@@ -292,7 +292,7 @@ def _rows_on_layout(cfg: ScenarioConfig, points, layout: ArrayLayout | None = No
         try:
             outcomes.append(SceneGeometry(r=r, theta=theta, big_r=cfg.R, vartheta=cfg.vartheta))
         except CrbEngineError as exc:
-            outcomes.append(exc)
+            outcomes.append(exc.with_traceback(None))  # no cycle through this frame
     if cfg.method == "direct":
         geoms = [g for g in outcomes if isinstance(g, SceneGeometry)]
         blocks = iter(bundle_fishers(layout, geoms, cfg.N_r, model=cfg.model))

@@ -1,6 +1,7 @@
 """Command line interface: schema, determinism, exit codes, canned sweeps."""
 
 import csv
+import gc
 import io
 import math
 import tracemalloc
@@ -635,3 +636,21 @@ def test_error_shared_by_a_sweep_is_not_raised_per_point(monkeypatch):
     rows = run_sweep(ScenarioConfig(K=3, M=16, I=4, theta=0.3), "r", 1.0, 2.0, 50)
     assert [row["error_code"] for row in rows] == ["invalid_layout"] * 50
     assert shared.__traceback__ is None
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_error_rows_leave_no_reference_cycles(method):
+    # an error kept with its traceback refers back to the frames that hold
+    # it, and such a cycle keeps their vectors alive until the collector runs
+    cfg = ScenarioConfig(K=3, M=16, I=4, N_r=4, theta=0.3, method=method)
+    points = [(0.0, 0.3), (1.0, 0.3), (1.0, 1.5), (1.0, math.pi / 2.0)]
+    gc.collect()
+    gc.disable()
+    try:
+        rows = [row for vartheta in (0.0, 0.1)
+                for row in experiment_cli._rows_on_layout(replace(cfg, vartheta=vartheta), points)]
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert garbage == 0
+    assert sum(bool(row["error_code"]) for row in rows) >= 5
