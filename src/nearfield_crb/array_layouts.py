@@ -96,16 +96,20 @@ def make_ua(K: int, M: int, d: float, d0: float, lam: float) -> ArrayLayout:
     return ArrayLayout("ua", K, M, d_prime, d_prime, lam)
 
 
+def centred_grid(n: int, step: float) -> np.ndarray:
+    """n points step apart, symmetric about the origin: (2j - n + 1)/2 * step."""
+    j = np.arange(n, dtype=float)
+    return (2.0 * j - n + 1.0) / 2.0 * step
+
+
 def subarray_centers(layout: ArrayLayout) -> np.ndarray:
     """Signed centre coordinates of the K subarrays, ascending."""
-    k = np.arange(layout.K, dtype=float)
-    return (2.0 * k - layout.K + 1.0) / 2.0 * layout.big_d
+    return centred_grid(layout.K, layout.big_d)
 
 
 def element_positions(layout: ArrayLayout) -> np.ndarray:
     """Signed element coordinates, index k*M + m, strictly ascending."""
-    m = np.arange(layout.M, dtype=float)
-    offsets = (2.0 * m - layout.M + 1.0) / 2.0 * layout.d
+    offsets = centred_grid(layout.M, layout.d)
     pos = (subarray_centers(layout)[:, None] + offsets[None, :]).ravel()
     if layout.n_elements > 1 and not np.all(np.diff(pos) > 0.0):
         raise ElementCoincidence("layout produced coincident or disordered elements")

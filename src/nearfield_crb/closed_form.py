@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .array_layouts import ArrayLayout, element_positions, subarray_centers
-from .errors import DomainError, SingularityNearPi2
+from .errors import DomainError, SingularFisher, SingularityNearPi2
 from .geometry import SceneGeometry
 
 # Above this |theta| the closed-form evaluation loses accuracy fast as the
@@ -261,8 +261,9 @@ def g_theta2_psi0(psi: float) -> float:
 def _direct_sums(x: np.ndarray, theta: float) -> SumFormulas:
     """The five sums over the normalized offsets x, each exactly rounded.
 
-    Every term is formed with the operations of ``nu1`` in the same order, and numpy rounds each of them correctly, so the terms are the
-    ones a per-element loop would give; ``math.fsum`` rounds each sum of
+    Every term is formed with the operations of ``nu1`` in the same order,
+    and numpy rounds each of them correctly, so the terms are the ones a
+    per-element loop would give; ``math.fsum`` rounds each sum of
     them exactly, whatever their order.  Broadside odd sums are therefore
     exact zeros.  Like scalar float arithmetic, the terms overflow to inf or
     NaN silently.
@@ -311,6 +312,18 @@ def riemann_bounds(layout: ArrayLayout, r: float) -> RiemannBounds:
     )
 
 
+def _cell_weight(b: RiemannBounds, weight: float) -> float:
+    """weight / (delta_d delta_big_d), the double midpoint sum's prefactor.
+
+    The cell area underflows to zero at a range beyond ~1e154 cell sizes,
+    where the sums carry no usable information.
+    """
+    try:
+        return weight / (b.delta_d * b.delta_big_d)
+    except ZeroDivisionError:
+        raise SingularFisher("the closed form's cell area underflows against the range") from None
+
+
 def _check_riemann_theta(theta: float) -> None:
     # The slack keeps grid points that should sit exactly on the cap (for
     # example linspace hitting 1.4500000000000002) from being rejected.
@@ -325,7 +338,7 @@ def sw_sums_riemann(layout: ArrayLayout, geom: SceneGeometry) -> SumFormulas:
     """Closed-form element-level sums via the double midpoint approximation."""
     _check_riemann_theta(geom.theta)
     b = riemann_bounds(layout, geom.r)
-    pref = 1.0 / (b.delta_d * b.delta_big_d)
+    pref = _cell_weight(b, 1.0)
     angle = _angle(geom.theta)
     s, c = angle[0], angle[1]
     # The odd-symmetry sums vanish identically on broadside; evaluating
@@ -383,7 +396,7 @@ def sw_theta0_sums(layout: ArrayLayout, r: float) -> SumFormulas:
     difference of the two positive partition edges and zeroes the odd sums.
     """
     b = riemann_bounds(layout, r)
-    pref = 2.0 / (b.delta_d * b.delta_big_d)
+    pref = _cell_weight(b, 2.0)
     angle = _angle(0.0)
     g4 = _second_level(b.x4, angle, odd=False)
     g3 = _second_level(b.x3, angle, odd=False)

@@ -33,7 +33,7 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -116,22 +116,8 @@ class ScenarioConfig:
         return self.lam / 2.0
 
 
-_FIELD_PARSERS = {
-    "frequency_hz": float,
-    "snr_db": float,
-    "alpha": complex,
-    "K": int,
-    "M": int,
-    "I": int,
-    "N_r": int,
-    "R": float,
-    "r": float,
-    "theta": float,
-    "vartheta": float,
-    "model": str,
-    "layout": str,
-    "method": str,
-}
+# field -> the parser of a config-file value: the type of its default
+_FIELD_PARSERS = {f.name: type(f.default) for f in fields(ScenarioConfig)}
 
 
 def load_config_file(path: str) -> dict:
@@ -375,13 +361,8 @@ def fig7_rows() -> list:
     """Hybrid-model angle bound vs I with its two span-limit asymptotes."""
     cfg = ScenarioConfig(K=2, N_r=12, theta=0.0, r=10.0, R=50.0, model="hspw")
     rows = [run_point(replace(cfg, I=i)) for i in range(21)]
-    asym = hspw_crb_asymptotes(
-        build_layout(replace(cfg, I=0)),
-        SceneGeometry(r=cfg.r, theta=cfg.theta, big_r=cfg.R),
-        cfg.N_r,
-        alpha=cfg.alpha,
-        sigma_n_sq=cfg.sigma_n_sq,
-    )
+    geom = SceneGeometry(r=cfg.r, theta=cfg.theta, big_r=cfg.R)
+    asym = hspw_crb_asymptotes(build_layout(replace(cfg, I=0)), geom, cfg.N_r)
     for name, value in (
         ("asymptote_span_pi", asym.crb_theta_span_pi),
         ("asymptote_span_zero", asym.crb_theta_span_zero),

@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .array_layouts import ArrayLayout, element_positions, subarray_centers
+from .array_layouts import ArrayLayout, centred_grid, element_positions, subarray_centers
 from .errors import (
     CrbEngineError,
     DegenerateGeometry,
@@ -232,8 +232,7 @@ def _hspw_tx_bundles(layout: ArrayLayout, geoms: list) -> list:
     r, sin, cos = _targets(geoms)
     w, w_theta, w_r, errors = _spherical_trio(centers, r, sin, cos, k0)
 
-    m = np.arange(layout.M, dtype=float)
-    offsets = (2.0 * m - layout.M + 1.0) / 2.0 * layout.d
+    offsets = centred_grid(layout.M, layout.d)
     a = np.exp(1j * k0 * offsets * sin) / math.sqrt(layout.M)
     a_theta = a * (1j * k0 * offsets * cos)
 
@@ -305,8 +304,7 @@ def rx_bundle(n_r: int, d_rx: float, lam: float, geom: SceneGeometry) -> Steerin
         raise DegenerateGeometry("target coincides with the receiver centre")
     sinphi = geom.r * math.sin(geom.theta) / rbar
 
-    j = np.arange(n_r, dtype=float)
-    offsets = (2.0 * j - n_r + 1.0) / 2.0 * d_rx
+    offsets = centred_grid(n_r, d_rx)
     k0 = 2.0 * math.pi / lam
     value = np.exp(1j * k0 * offsets * sinphi) / math.sqrt(n_r)
     phase_rate = 1j * k0 * offsets
@@ -382,16 +380,21 @@ def normalized_fisher(a: AmfSet) -> NormalizedFisher:
     """Project out the complex gain: the Schur complement of the gain block."""
     if a.h_sq <= 0.0:
         raise DomainError("zero-norm steering vector")
-    q11 = a.htheta_sq - abs(a.htheta_h) ** 2 / a.h_sq
-    q22 = a.hr_sq - abs(a.hr_h) ** 2 / a.h_sq
+    try:
+        htheta_h_sq, hr_h_sq = abs(a.htheta_h) ** 2, abs(a.hr_h) ** 2
+    except OverflowError:
+        # inner products beyond ~1e154, as at a carrier near 1e300 Hz
+        raise SingularFisher("the Fisher inner products overflow") from None
+    q11 = a.htheta_sq - htheta_h_sq / a.h_sq
+    q22 = a.hr_sq - hr_h_sq / a.h_sq
     q12 = a.htheta_hr.real - (a.htheta_h.conjugate() * a.hr_h).real / a.h_sq
     floor_mult = NOISE_FLOOR_MULT * _EPS
     return NormalizedFisher(
         q11=q11,
         q12=q12,
         q22=q22,
-        q11_floor=floor_mult * (a.htheta_sq + abs(a.htheta_h) ** 2 / a.h_sq),
-        q22_floor=floor_mult * (a.hr_sq + abs(a.hr_h) ** 2 / a.h_sq),
+        q11_floor=floor_mult * (a.htheta_sq + htheta_h_sq / a.h_sq),
+        q22_floor=floor_mult * (a.hr_sq + hr_h_sq / a.h_sq),
     )
 
 
@@ -429,18 +432,9 @@ def crb(nf: NormalizedFisher, beta_sq: float, sigma_n_sq: float) -> CrbResult:
     return CrbResult(crb_theta=pref * nf.q22 / det, crb_r=pref * nf.q11 / det)
 
 
-def crb_with_gain(
-    nf: NormalizedFisher,
-    layout: ArrayLayout,
-    n_r: int,
-    alpha: complex,
-    sigma_n_sq: float,
-    beta_sq: float | None,
-) -> CrbResult:
-    """Bounds at the gain beta_sq, or at the gain alpha gives when it is None."""
-    if beta_sq is None:
-        beta_sq = received_gain_sq(alpha, n_r, layout.n_elements)
-    return crb(nf, beta_sq, sigma_n_sq)
+def _unit_crb(nf: NormalizedFisher, layout: ArrayLayout, n_r: int) -> CrbResult:
+    """Bounds at unit gain (alpha = 1, so beta^2 = N_r N_t) and unit noise."""
+    return crb(nf, received_gain_sq(1.0, n_r, layout.n_elements), 1.0)
 
 
 def crb_theta_only(nf: NormalizedFisher, beta_sq: float, sigma_n_sq: float) -> float:
@@ -471,18 +465,14 @@ def crb_theta_only(nf: NormalizedFisher, beta_sq: float, sigma_n_sq: float) -> f
 
 
 def bundle_crb(
-    layout: ArrayLayout,
-    geom: SceneGeometry,
-    n_r: int,
-    *,
-    model: str = "sw",
-    alpha: complex = 1.0 + 0.0j,
-    sigma_n_sq: float = 1.0,
-    beta_sq: float | None = None,
+    layout: ArrayLayout, geom: SceneGeometry, n_r: int, *, model: str = "sw"
 ) -> CrbResult:
-    """First-principles bounds via the steering bundles (the exact route)."""
-    nf = bundle_fisher(layout, geom, n_r, model=model)
-    return crb_with_gain(nf, layout, n_r, alpha, sigma_n_sq, beta_sq)
+    """First-principles bounds via the steering bundles (the exact route).
+
+    At unit gain and noise; ``crb(bundle_fisher(...), beta_sq, sigma_n_sq)``
+    gives them at any other.
+    """
+    return _unit_crb(bundle_fisher(layout, geom, n_r, model=model), layout, n_r)
 
 
 def bundle_fisher(

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateGeometry, DomainError, SpanSingularity
+from .errors import DegenerateGeometry, DomainError, SingularFisher, SpanSingularity
 
 HALF_PI = math.pi / 2.0
 
@@ -70,10 +70,14 @@ def _rx_range_sq(r: float, big_r: float, a: float) -> float:
     the target is near the receiver.  The equivalent
     (R - r)^2 + 4 R r sin^2(a/2) adds two non-negative terms, so every digit
     survives (Kahan, "Miscalculating Area and Angles of a Needle-like
-    Triangle").
+    Triangle").  A distance whose square overflows leaves the arrival-angle
+    terms no usable digits, so it raises SingularFisher.
     """
     half_sin = math.sin(0.5 * a)
-    return (big_r - r) ** 2 + 4.0 * big_r * r * half_sin * half_sin
+    try:
+        return (big_r - r) ** 2 + 4.0 * big_r * r * half_sin * half_sin
+    except OverflowError:
+        raise SingularFisher("the receiver-to-target distance overflows") from None
 
 
 def rx_range(geom: SceneGeometry) -> float:
@@ -106,12 +110,16 @@ def _require_broadside_rx(geom: SceneGeometry, what: str) -> None:
 
 
 def _triangle_den(geom: SceneGeometry) -> float:
+    """rbar^3, the denominator of both arrival-angle derivatives."""
     den = _rx_range_sq(geom.r, geom.big_r, geom.theta)
     if den <= 0.0:
         raise DegenerateGeometry(
             "receiver-to-target distance vanishes; arrival-angle derivatives undefined"
         )
-    return den
+    try:
+        return den ** 1.5
+    except OverflowError:
+        raise SingularFisher("the cubed receiver-to-target distance overflows") from None
 
 
 def _cosine_gaps(geom: SceneGeometry) -> tuple[float, float]:
@@ -136,7 +144,7 @@ def dsinphi_dtheta(geom: SceneGeometry) -> float:
     _require_broadside_rx(geom, "dsinphi_dtheta")
     den = _triangle_den(geom)
     near, far = _cosine_gaps(geom)
-    return geom.r * near * far / den ** 1.5
+    return geom.r * near * far / den
 
 
 def dsinphi_dr(geom: SceneGeometry) -> float:
@@ -147,7 +155,7 @@ def dsinphi_dr(geom: SceneGeometry) -> float:
     _require_broadside_rx(geom, "dsinphi_dr")
     den = _triangle_den(geom)
     near, _ = _cosine_gaps(geom)
-    return geom.big_r * math.sin(geom.theta) * near / den ** 1.5
+    return geom.big_r * math.sin(geom.theta) * near / den
 
 
 def psi_from_x(x: float, theta: float) -> float:

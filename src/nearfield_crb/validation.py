@@ -32,12 +32,14 @@ from .crb_analytic import (
     sums_fisher,
     sw_crb_closed,
     sw_crb_theta0,
+    sw_fisher_from_sums,
 )
 from .errors import SingularityNearPi2
 from .fisher_core import (
     bundle_crb,
     bundle_fisher,
     composite_bundle,
+    crb,
     crb_theta_only,
     full_fisher_oracle,
     hspw_tx_bundle,
@@ -443,8 +445,9 @@ def check_broadside_crbs() -> CheckOutcome:
     a = sw_crb_theta0(lay, geom, 18)
     b = sw_crb_closed(lay, geom, 18, method="riemann")
     worst = max(worst, _rel(a.crb_theta, b.crb_theta), _rel(a.crb_r, b.crb_r))
-    beta_sq = 128.0
-    rs = [sw_crb_theta0(lay, geom, n_r, beta_sq=beta_sq).crb_r for n_r in (1, 18, 35)]
+    # at one fixed gain: the unit-gain helpers' beta^2 = N_r N_t grows with n_r
+    sums = cf.sw_theta0_sums(lay, geom.r)
+    rs = [crb(sw_fisher_from_sums(sums, lay, geom, n_r), 128.0, 1.0).crb_r for n_r in (1, 18, 35)]
     worst = max(worst, _rel(min(rs), max(rs)))
     lay2 = _std_layout(2, 128, 10)
     geom2 = SceneGeometry(r=10.0, theta=0.0, big_r=50.0)

@@ -16,12 +16,12 @@ from nearfield_crb import (
     SceneGeometry,
     bundle_crb,
     bundle_fisher,
+    crb,
     crb_theta_only,
     d0_from_exponent,
-    hspw_crb_closed,
     make_wsms,
     received_gain_sq,
-    sw_crb_closed,
+    sums_fisher,
 )
 from nearfield_crb import experiment_cli, fisher_core
 from nearfield_crb.errors import (
@@ -323,7 +323,6 @@ def test_error_code_names():
 # A well-conditioned scene with a non-unit gain and noise power.
 ROUTE_SCENE = ScenarioConfig(K=3, M=16, I=4, R=50.0, r=2.0, theta=0.4,
                              snr_db=3.0, alpha=0.5 + 0.25j)
-CLOSED = {"sw": sw_crb_closed, "hspw": hspw_crb_closed}
 
 
 @pytest.mark.parametrize("n_r", [1, 4])
@@ -335,19 +334,18 @@ def test_run_point_matches_library_route(model, method, n_r):
     row = run_point(cfg)
     lay = build_layout(cfg)
     geom = SceneGeometry(r=cfg.r, theta=cfg.theta, big_r=cfg.R)
-    kw = dict(alpha=cfg.alpha, sigma_n_sq=cfg.sigma_n_sq)
+    beta_sq = received_gain_sq(cfg.alpha, n_r, lay.n_elements)
+    if method == "direct":
+        nf = bundle_fisher(lay, geom, n_r, model=model)
+    else:
+        nf = sums_fisher(lay, geom, n_r, model=model, method=method)
     try:
-        if method == "direct":
-            ref = bundle_crb(lay, geom, n_r, model=model, **kw)
-        else:
-            ref = CLOSED[model](lay, geom, n_r, method=method, **kw)
+        ref = crb(nf, beta_sq, cfg.sigma_n_sq)
         want = (ref.crb_theta, ref.crb_r, "")
     except SingularFisher:
         # a single element leaves the planar model range-blind: the angle
         # bound is the scalar inverse
         assert (model, n_r) == ("pw", 1)
-        beta_sq = received_gain_sq(cfg.alpha, n_r, lay.n_elements)
-        nf = bundle_fisher(lay, geom, n_r, model=model)
         want = (crb_theta_only(nf, beta_sq, cfg.sigma_n_sq), None, "singular_fisher")
     assert (row["crb_theta_rad2"], row["crb_r_m2"], row["error_code"]) == want
 
@@ -585,6 +583,36 @@ def test_closed_form_edge_where_nu1_vanishes_is_an_error_row(capsys):
     assert row["error_code"] == "domain_error"
     assert row["crb_theta_rad2"] == ""
 
+
+# finite inputs whose arithmetic leaves the float range somewhere on a route
+EXTREME_SCENES = [
+    ["--r", "1e200", "--theta", "0.3"],  # the closed form's cell area underflows
+    ["--r", "1e160"],                    # r ** 2 overflows in the aperture factors
+    ["--r", "1e160", "--model", "hspw"],
+    ["--r", "1e-300"],                   # r^2 cos^2(theta) underflows in the assembly
+    ["--R", "1e200", "--N_r", "4"],      # the receiver distance squared overflows
+    ["--R", "1e120", "--N_r", "4"],      # ... and cubed
+    ["--frequency_hz", "1e300"],         # the inner products overflow
+]
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("scene", EXTREME_SCENES)
+def test_extreme_finite_input_is_a_singular_row(capsys, method, scene):
+    code, out = run_cli(capsys, ["crb", "--method", method, *scene])
+    assert code == 1
+    row = parse_rows(out)[0]
+    assert row["error_code"] == "singular_fisher"
+    assert row["crb_theta_rad2"] == row["crb_r_m2"] == ""
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_sweep_to_the_top_of_the_float_range_never_aborts(capsys, method):
+    code, out = run_cli(capsys, ["sweep", "--method", method, "--axis", "r",
+                                 "--start", "1", "--stop", "1e300", "--steps", "3"])
+    assert code == 0
+    codes = [row["error_code"] for row in parse_rows(out)]
+    assert codes == ["", "singular_fisher", "singular_fisher"]
 
 
 @pytest.mark.parametrize("r, theta", [(0.0, 0.3), (1.0, math.pi / 2.0), (1.0, 2.0)])

@@ -13,6 +13,7 @@ from nearfield_crb import (
     bundle_crb,
     bundle_fisher,
     compare_wsms_ua,
+    crb,
     crb_theta_only,
     hspw_crb_asymptotes,
     hspw_crb_closed,
@@ -22,7 +23,7 @@ from nearfield_crb import (
     sw_crb_closed,
     sw_crb_theta0,
 )
-from nearfield_crb.closed_form import hspw_sums_direct, sw_sums_direct
+from nearfield_crb.closed_form import hspw_sums_direct, sw_sums_direct, sw_theta0_sums
 from nearfield_crb.crb_analytic import (
     chi_factors,
     hspw_fisher_from_sums,
@@ -68,9 +69,6 @@ def test_chi_factors_formulas():
         math.pi ** 2 * lay.d ** 2 * (lay.M ** 2 - 1) / (3.0 * lay.lam ** 2),
         rel_tol=1e-13,
     )
-    # the centre-level curvature prefactor coincides with the element-level
-    # one; it is aliased for the hybrid assembly
-    assert chi.chi_k == chi.chi_nt
     single = chi_factors(lay, geom, 1)
     assert single.chi_nr == 0.0
 
@@ -139,17 +137,6 @@ def test_closed_crb_methods_agree_with_bundle():
         sw_crb_closed(lay, geom, 2, method="simpson")
 
 
-def test_noise_and_gain_prefactor():
-    lay = std_wsms(3, 16, 4)
-    geom = SceneGeometry(r=1.2, theta=0.4, big_r=50.0)
-    base = sw_crb_closed(lay, geom, 2, method="direct")
-    scaled = sw_crb_closed(lay, geom, 2, method="direct", alpha=0.5 + 0.0j, sigma_n_sq=4.0)
-    assert rel(scaled.crb_theta, 16.0 * base.crb_theta) < 1e-12
-    assert rel(scaled.crb_r, 16.0 * base.crb_r) < 1e-12
-    fixed_gain = sw_crb_closed(lay, geom, 2, method="direct", beta_sq=96.0)
-    assert rel(fixed_gain.crb_theta, base.crb_theta) < 1e-12
-
-
 def test_broadside_closed_forms():
     lay = std_wsms(3, 16, 4)
     geom = SceneGeometry(r=0.3, theta=0.0, big_r=50.0)
@@ -171,8 +158,8 @@ def test_broadside_range_bound_ignores_receiver_size():
     # aggregate gain the range bound cannot depend on the receiver aperture
     lay = std_wsms(3, 16, 4)
     geom = SceneGeometry(r=1.2, theta=0.0, big_r=50.0)
-    a = sw_crb_theta0(lay, geom, 1, beta_sq=48.0)
-    b = sw_crb_theta0(lay, geom, 12, beta_sq=48.0)
+    sums = sw_theta0_sums(lay, geom.r)
+    a, b = (crb(sw_fisher_from_sums(sums, lay, geom, n_r), 48.0, 0.5) for n_r in (1, 12))
     assert rel(a.crb_r, b.crb_r) < 1e-12
     assert b.crb_theta < a.crb_theta
 
