@@ -15,6 +15,7 @@ reproduce the widely-spaced aperture.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,20 +44,26 @@ class ArrayLayout:
         return self.K * self.M
 
 
-def _validate(kind: str, K: int, M: int, d: float, d0: float, lam: float) -> None:
+def _validate(K: int, M: int, d: float, d0: float, lam: float) -> None:
     if not (isinstance(K, int) and K >= 1):
         raise InvalidLayout(f"subarray count K must be an integer >= 1, got {K!r}")
     if not (isinstance(M, int) and M >= 1):
         raise InvalidLayout(f"subarray size M must be an integer >= 1, got {M!r}")
-    if not d > 0.0:
-        raise InvalidLayout(f"element spacing d must be positive, got {d!r}")
-    if not lam > 0.0:
-        raise InvalidLayout(f"wavelength must be positive, got {lam!r}")
-    if d0 < d:
+    if not 0.0 < d < math.inf:
+        raise InvalidLayout(f"element spacing d must be positive and finite, got {d!r}")
+    if not 0.0 < lam < math.inf:
+        raise InvalidLayout(f"wavelength must be positive and finite, got {lam!r}")
+    if not d <= d0 < math.inf:
         raise InvalidLayout(
-            f"subarray gap d0 = {d0!r} smaller than element spacing d = {d!r}: "
-            "adjacent subarrays would interleave"
+            f"subarray gap d0 = {d0!r} must be finite and at least the element spacing "
+            f"d = {d!r}, or adjacent subarrays would interleave"
         )
+
+
+def require_widely_spaced(layout: ArrayLayout, what: str) -> None:
+    """Raise InvalidLayout unless the layout is widely spaced (kind "wsms")."""
+    if layout.kind != "wsms":
+        raise InvalidLayout(f"{what} needs a widely spaced layout, got kind={layout.kind!r}")
 
 
 def d0_from_exponent(i: int, lam: float) -> float:
@@ -71,13 +78,13 @@ def d0_from_exponent(i: int, lam: float) -> float:
 
 def make_wsms(K: int, M: int, d: float, d0: float, lam: float) -> ArrayLayout:
     """Widely spaced multi-subarray layout."""
-    _validate("wsms", K, M, d, d0, lam)
+    _validate(K, M, d, d0, lam)
     return ArrayLayout("wsms", K, M, d, d0, lam)
 
 
 def make_dua(K: int, M: int, d: float, lam: float) -> ArrayLayout:
     """Dense uniform mirror: same K*M elements, contiguous subarrays (d0 = d)."""
-    _validate("dua", K, M, d, d, lam)
+    _validate(K, M, d, d, lam)
     return ArrayLayout("dua", K, M, d, d, lam)
 
 
@@ -88,7 +95,7 @@ def make_ua(K: int, M: int, d: float, d0: float, lam: float) -> ArrayLayout:
     widely spaced layout's, i.e. spacing
     d' = ((K-1) big_d + (M-1) d) / (K M - 1).
     """
-    _validate("ua", K, M, d, d0, lam)
+    _validate(K, M, d, d0, lam)
     if K * M < 2:
         raise InvalidLayout("a uniform mirror needs at least two elements")
     big_d = (M - 1) * d + d0

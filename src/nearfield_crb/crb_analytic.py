@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .array_layouts import ArrayLayout, make_dua, make_ua, make_wsms
+from .array_layouts import ArrayLayout, make_dua, make_ua, make_wsms, require_widely_spaced
 from .closed_form import (
     SumFormulas,
     hspw_sums_closed,
@@ -38,7 +38,7 @@ from .closed_form import (
     sw_sums_riemann,
     sw_theta0_sums,
 )
-from .errors import DomainError, InvalidLayout, SingularFisher
+from .errors import DomainError, SingularFisher
 from .fisher_core import (
     _EPS,
     NOISE_FLOOR_MULT,
@@ -47,6 +47,7 @@ from .fisher_core import (
     _unit_crb,
     bundle_crb,
     received_gain_sq,
+    require_receiver_size,
 )
 from .geometry import SceneGeometry, dsinphi_dr, dsinphi_dtheta
 
@@ -89,6 +90,7 @@ class LayoutComparison:
 
 
 def chi_factors(layout: ArrayLayout, geom: SceneGeometry, n_r: int) -> ChiFactors:
+    require_receiver_size(n_r)
     lam = layout.lam
     c = math.cos(geom.theta)
     try:
@@ -203,6 +205,8 @@ def sums_fisher(
             f"no sum formulas for model {model!r} with method {method!r} "
             f"(expected one of {sorted(_SUMS)})"
         )
+    if model == "hspw":
+        require_widely_spaced(layout, "the hybrid model")
     sums = _SUMS[model, method](layout, geom)
     assemble = sw_fisher_from_sums if model == "sw" else hspw_fisher_from_sums
     return assemble(sums, layout, geom, n_r)
@@ -243,6 +247,7 @@ def hspw_crb_theta0(layout: ArrayLayout, geom: SceneGeometry, n_r: int) -> CrbRe
     """
     if geom.theta != 0.0:
         raise DomainError(f"broadside form needs theta = 0, got {geom.theta!r}")
+    require_widely_spaced(layout, "the hybrid model")
     psi0 = 2.0 * math.atan(0.5 * layout.K * layout.big_d / geom.r)
     nf = hspw_fisher_from_sums(hspw_theta0_sums(layout.K, psi0), layout, geom, n_r)
     return _unit_crb(nf, layout, n_r)
@@ -259,6 +264,7 @@ def hspw_crb_asymptotes(layout: ArrayLayout, geom: SceneGeometry, n_r: int) -> T
     """
     if geom.theta != 0.0:
         raise DomainError(f"broadside form needs theta = 0, got {geom.theta!r}")
+    require_widely_spaced(layout, "the hybrid model")
     chi = chi_factors(layout, geom, n_r)
     phi_theta, _ = _rx_sensitivities(geom, chi.chi_nr)
     rx_term = chi.chi_nr * phi_theta ** 2
@@ -266,10 +272,7 @@ def hspw_crb_asymptotes(layout: ArrayLayout, geom: SceneGeometry, n_r: int) -> T
     q11_floor = chi.chi_nt + chi.chi_m + rx_term  # span -> pi: s_theta2/K -> 1
     q11_ceiling = chi.chi_m + rx_term             # span -> 0: s_theta2/K -> 0
     if q11_ceiling <= 0.0:
-        raise SingularFisher(
-            "angle information vanishes in the zero-span limit for this setup",
-            det=q11_ceiling,
-        )
+        raise SingularFisher("angle information vanishes in the zero-span limit for this setup")
     return Theta0Asymptotes(
         crb_theta_span_pi=pref / q11_floor,
         crb_theta_span_zero=pref / q11_ceiling,
@@ -291,8 +294,7 @@ def ratio_check(
     count).  Returns base/scaled sum ratios and scaled/base bound ratios,
     all of which should equal 1/factor.
     """
-    if layout.kind != "wsms":
-        raise InvalidLayout("the scaling law applies to widely spaced layouts")
+    require_widely_spaced(layout, "the scaling law")
     if not (isinstance(factor, int) and factor >= 2):
         raise DomainError(f"factor must be an integer >= 2, got {factor!r}")
     big_d_scaled = layout.big_d / factor
@@ -329,8 +331,7 @@ def compare_wsms_ua(layout: ArrayLayout, geom: SceneGeometry, n_r: int) -> Layou
 
     Uses the first-principles bundle route.
     """
-    if layout.kind != "wsms":
-        raise InvalidLayout("comparison is defined for a widely spaced base layout")
+    require_widely_spaced(layout, "the mirror comparison")
     ua = make_ua(layout.K, layout.M, layout.d, layout.d0, layout.lam)
     dua = make_dua(layout.K, layout.M, layout.d, layout.lam)
     return LayoutComparison(

@@ -37,10 +37,6 @@ class InvalidLayout(CrbEngineError, ValueError):
 class SingularFisher(CrbEngineError):
     """The 2x2 (theta, r) Fisher block is singular at working precision."""
 
-    def __init__(self, message: str, det: float | None = None):
-        super().__init__(message)
-        self.det = det
-
 
 class IllConditioned(CrbEngineError):
     """A matrix inversion failed its residual check."""

@@ -48,6 +48,7 @@ from .fisher_core import (
     crb_theta_only,
     full_fisher_oracle,
     received_gain_sq,
+    require_gain_and_noise,
 )
 from .geometry import SceneGeometry
 
@@ -206,9 +207,12 @@ def _evaluate(cfg: ScenarioConfig, layout: ArrayLayout, outcome):
         return None, None, error_code(outcome)
     try:
         if cfg.method == "oracle":
-            res = full_fisher_oracle(layout, outcome, cfg.N_r, model=cfg.model, alpha=cfg.alpha,
-                                     sigma_n_sq=cfg.sigma_n_sq)
-            return res.crb_theta, res.crb_r, ""
+            res = full_fisher_oracle(layout, outcome, cfg.N_r, model=cfg.model)
+            # unit-gain bounds times sigma^2 / |alpha|^2, exactly 1.0 at unit gain and noise
+            beta_sq = received_gain_sq(cfg.alpha, cfg.N_r, layout.n_elements)
+            require_gain_and_noise(beta_sq, cfg.sigma_n_sq)
+            scale = cfg.sigma_n_sq * (received_gain_sq(1.0, cfg.N_r, layout.n_elements) / beta_sq)
+            return res.crb_theta * scale, res.crb_r * scale, ""
         if cfg.method == "riemann":
             outcome = sums_fisher(layout, outcome, cfg.N_r, model=cfg.model, method=cfg.method)
         return _bounds(cfg, layout, outcome)
@@ -467,7 +471,8 @@ def _add_scenario_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument(
         "--method",
         choices=METHODS + ("closed",),
-        help="direct sums, riemann/closed form, or the finite-difference oracle",
+        help="direct (steering-vector inner products), riemann/closed (closed-form sums), "
+        "or oracle (finite-difference Fisher matrix)",
     )
     sp.add_argument("--out", help="write CSV here instead of stdout")
 

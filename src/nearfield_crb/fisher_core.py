@@ -41,16 +41,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .array_layouts import ArrayLayout, centred_grid, element_positions, subarray_centers
-from .errors import (
-    CrbEngineError,
-    DegenerateGeometry,
-    DomainError,
-    ElementCoincidence,
-    IllConditioned,
-    InvalidLayout,
-    SingularFisher,
+from .array_layouts import (
+    ArrayLayout,
+    centred_grid,
+    element_positions,
+    require_widely_spaced,
+    subarray_centers,
 )
+from .errors import CrbEngineError, DomainError, ElementCoincidence, IllConditioned, SingularFisher
 from .geometry import SceneGeometry, dsinphi_dr, dsinphi_dtheta, rx_range
 
 
@@ -223,10 +221,7 @@ def _pw_tx_bundles(layout: ArrayLayout, geoms: list) -> list:
 
 
 def _hspw_tx_bundles(layout: ArrayLayout, geoms: list) -> list:
-    if layout.kind != "wsms":
-        raise InvalidLayout(
-            f"the hybrid model needs a widely spaced subarray layout, got kind={layout.kind!r}"
-        )
+    require_widely_spaced(layout, "the hybrid model")
     k0 = 2.0 * math.pi / layout.lam
     centers = subarray_centers(layout)
     r, sin, cos = _targets(geoms)
@@ -286,30 +281,33 @@ def hspw_tx_bundle(layout: ArrayLayout, geom: SceneGeometry) -> SteeringBundle:
     return _one(tx_bundles(layout, [geom], "hspw")[0])
 
 
-def rx_bundle(n_r: int, d_rx: float, lam: float, geom: SceneGeometry) -> SteeringBundle:
-    """Receive-side uniform-line bundle pointed by the arrival angle."""
+def require_receiver_size(n_r: int) -> None:
+    """Raise DomainError unless the receiver has an integer n_r >= 1 elements."""
     if not (isinstance(n_r, int) and n_r >= 1):
         raise DomainError(f"receiver size must be an integer >= 1, got {n_r!r}")
-    if not (d_rx > 0.0 and lam > 0.0):
-        raise DomainError("receiver spacing and wavelength must be positive")
+
+
+def rx_bundle(layout: ArrayLayout, n_r: int, geom: SceneGeometry) -> SteeringBundle:
+    """Receive-side uniform-line bundle at the layout's spacing and wavelength.
+
+    A tilted receiver or a target at its centre raises from the arrival-angle
+    derivatives, before any vector is formed.
+    """
+    require_receiver_size(n_r)
     if n_r == 1:
         # one element has no aperture, so the receiver's placement (tilt,
         # or a target at its centre) never enters the bound
         zero = np.zeros(1, dtype=complex)
         return SteeringBundle(np.ones(1, dtype=complex), zero, zero.copy(), "rx")
-    if geom.vartheta != 0.0:
-        raise DomainError("receive derivatives are defined for a broadside receiver only")
-    rbar = rx_range(geom)
-    if rbar == 0.0:
-        raise DegenerateGeometry("target coincides with the receiver centre")
-    sinphi = geom.r * math.sin(geom.theta) / rbar
+    sinphi_theta, sinphi_r = dsinphi_dtheta(geom), dsinphi_dr(geom)
+    sinphi = geom.r * math.sin(geom.theta) / rx_range(geom)
 
-    offsets = centred_grid(n_r, d_rx)
-    k0 = 2.0 * math.pi / lam
+    offsets = centred_grid(n_r, layout.d)
+    k0 = 2.0 * math.pi / layout.lam
     value = np.exp(1j * k0 * offsets * sinphi) / math.sqrt(n_r)
     phase_rate = 1j * k0 * offsets
-    d_theta = value * phase_rate * dsinphi_dtheta(geom)
-    d_r = value * phase_rate * dsinphi_dr(geom)
+    d_theta = value * phase_rate * sinphi_theta
+    d_r = value * phase_rate * sinphi_r
     return SteeringBundle(value, d_theta, d_r, "rx")
 
 
@@ -403,31 +401,28 @@ def received_gain_sq(alpha: complex, n_r: int, n_t: int) -> float:
     return abs(alpha) ** 2 * n_r * n_t
 
 
+def require_gain_and_noise(beta_sq: float, sigma_n_sq: float) -> None:
+    """Raise DomainError unless the gain beta^2 and noise power are positive."""
+    if not beta_sq > 0.0:
+        raise DomainError(f"beta_sq must be positive, got {beta_sq!r}")
+    if not sigma_n_sq > 0.0:
+        raise DomainError(f"sigma_n_sq must be positive, got {sigma_n_sq!r}")
+
+
 def crb(nf: NormalizedFisher, beta_sq: float, sigma_n_sq: float) -> CrbResult:
     """Angle and range bounds from the normalized Fisher block.
 
     The comparisons are written so that a NaN entry fails them: a block
     that overflowed is singular, not a NaN bound.
     """
-    if not beta_sq > 0.0:
-        raise DomainError(f"beta_sq must be positive, got {beta_sq!r}")
-    if not sigma_n_sq > 0.0:
-        raise DomainError(f"sigma_n_sq must be positive, got {sigma_n_sq!r}")
+    require_gain_and_noise(beta_sq, sigma_n_sq)
     if not nf.q11 > nf.q11_floor:
-        raise SingularFisher(
-            f"theta information is at the round-off floor (q11 = {nf.q11!r})",
-            det=nf.det,
-        )
+        raise SingularFisher(f"theta information is at the round-off floor (q11 = {nf.q11!r})")
     if not nf.q22 > nf.q22_floor:
-        raise SingularFisher(
-            f"range information is at the round-off floor (q22 = {nf.q22!r})",
-            det=nf.det,
-        )
+        raise SingularFisher(f"range information is at the round-off floor (q22 = {nf.q22!r})")
     det = nf.det
     if not det > EPS_DET:
-        raise SingularFisher(
-            f"(theta, r) Fisher block is singular (det = {det!r})", det=det
-        )
+        raise SingularFisher(f"(theta, r) Fisher block is singular (det = {det!r})")
     pref = sigma_n_sq / (2.0 * beta_sq)
     return CrbResult(crb_theta=pref * nf.q22 / det, crb_r=pref * nf.q11 / det)
 
@@ -452,15 +447,9 @@ def crb_theta_only(nf: NormalizedFisher, beta_sq: float, sigma_n_sq: float) -> f
             f"theta-only bound needs a decoupled block, got q12 = {nf.q12!r} "
             f"with q11 = {nf.q11!r}"
         )
-    if not beta_sq > 0.0:
-        raise DomainError(f"beta_sq must be positive, got {beta_sq!r}")
-    if not sigma_n_sq > 0.0:
-        raise DomainError(f"sigma_n_sq must be positive, got {sigma_n_sq!r}")
+    require_gain_and_noise(beta_sq, sigma_n_sq)
     if not nf.q11 > nf.q11_floor:
-        raise SingularFisher(
-            f"theta information is at the round-off floor (q11 = {nf.q11!r})",
-            det=nf.q11,
-        )
+        raise SingularFisher(f"theta information is at the round-off floor (q11 = {nf.q11!r})")
     return sigma_n_sq / (2.0 * beta_sq * nf.q11)
 
 
@@ -511,7 +500,7 @@ def _batch_fishers(layout: ArrayLayout, geoms: list, n_r: int, model: str) -> li
             out.append(tx)
             continue
         try:
-            rx = rx_bundle(n_r, layout.d, layout.lam, geom)
+            rx = rx_bundle(layout, n_r, geom)
             out.append(normalized_fisher(amfs(tx, rx)))
         except CrbEngineError as exc:
             # kept without its traceback, whose frames would hold this batch
@@ -525,23 +514,17 @@ def full_fisher_oracle(
     n_r: int,
     *,
     model: str = "sw",
-    alpha: complex = 1.0 + 0.0j,
-    sigma_n_sq: float = 1.0,
     training: str = "implicit",
 ) -> OracleResult:
     """Independent 4x4 Fisher oracle built from finite differences.
 
     Rebuilds the composite steering vector from phases alone at displaced
     (theta, r), differentiates numerically, forms the full Fisher matrix over
-    (theta, r, Re alpha, Im alpha), and inverts it, verifying the inversion
-    residual.  ``training="dft"`` routes the transmit vector through an
-    explicit unitary training map first, which must leave the result
-    unchanged (ideal-training identity).
+    (theta, r, Re alpha, Im alpha) at unit gain (alpha = 1) and unit noise,
+    and inverts it, verifying the inversion residual.  ``training="dft"``
+    routes the transmit vector through an explicit unitary training map
+    first, which must leave the result unchanged (ideal-training identity).
     """
-    if model not in _TX_BATCHES:
-        raise DomainError(f"unknown wave model {model!r}")
-    if not (abs(alpha) > 0.0 and sigma_n_sq > 0.0):
-        raise DomainError(f"need alpha != 0 and sigma_n_sq > 0, got {alpha!r}, {sigma_n_sq!r}")
     if training not in ("implicit", "dft"):
         raise DomainError(f"unknown training map {training!r}")
     n_t = layout.n_elements
@@ -553,7 +536,7 @@ def full_fisher_oracle(
     def hvec(theta: float, r: float) -> np.ndarray:
         g = replace(geom, theta=theta, r=r)
         tx = _one(tx_bundles(layout, [g], model)[0]).value
-        rx = rx_bundle(n_r, layout.d, layout.lam, g).value
+        rx = rx_bundle(layout, n_r, g).value
         mapped = np.conj(tx) if unitary is None else unitary.T @ np.conj(tx)
         return _kron(mapped, rx)
 
@@ -567,12 +550,11 @@ def full_fisher_oracle(
         2.0 * d_r_step
     )
 
-    beta = alpha * math.sqrt(n_r * n_t)
     root_gain = math.sqrt(n_r * n_t)
     jac = np.column_stack(
-        [beta * h_theta, beta * h_r, root_gain * h0, 1j * root_gain * h0]
+        [root_gain * h_theta, root_gain * h_r, root_gain * h0, 1j * root_gain * h0]
     )
-    fisher = (2.0 / sigma_n_sq) * (jac.conj().T @ jac).real
+    fisher = 2.0 * (jac.conj().T @ jac).real
     # Entries span many orders of magnitude (k0^2 r^2 angle terms vs O(1)
     # gain terms), so work with the Jacobi-equilibrated matrix and map back;
     # the residual is then meaningful rather than dominated by scaling.
@@ -586,19 +568,22 @@ def full_fisher_oracle(
     # test scene).  Inverting it through a QR factor of
     # the equilibrated real Jacobian [Re J; Im J] keeps the round-off at
     # cond(J) instead: balanced = R^T R, so balanced^-1 = R^-1 R^-T.
-    real_jac = math.sqrt(2.0 / sigma_n_sq) * np.vstack([jac.real, jac.imag]) * scale[None, :]
+    real_jac = math.sqrt(2.0) * np.vstack([jac.real, jac.imag]) * scale[None, :]
     tri = np.linalg.qr(real_jac, mode="r")
     try:
         tri_inv = np.linalg.inv(tri)
     except np.linalg.LinAlgError as exc:
         raise SingularFisher(f"oracle Fisher matrix is singular: {exc}") from exc
     balanced_inv = tri_inv @ tri_inv.T
-    covariance = balanced_inv * scale[:, None] * scale[None, :]
     residual = float(np.max(np.abs(balanced @ balanced_inv - np.eye(4))))
     if residual > ORACLE_RESIDUAL_TOL:
         raise IllConditioned(
             f"oracle inversion residual {residual:.3e} exceeds {ORACLE_RESIDUAL_TOL:.1e}"
         )
+    with np.errstate(over="ignore"):
+        covariance = balanced_inv * scale[:, None] * scale[None, :]
+    if not np.all(np.isfinite(covariance)):
+        raise SingularFisher("the oracle covariance overflows")
     alpha_cross = float(fisher[2, 3] / fisher[2, 2])
     return OracleResult(
         crb_theta=float(covariance[0, 0]),

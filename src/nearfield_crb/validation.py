@@ -198,7 +198,7 @@ def _bundle_set(lay, geom, n_r):
     tx_sw = sw_tx_bundle(lay, geom)
     tx_h = hspw_tx_bundle(lay, geom)
     tx_p = pw_tx_bundle(lay, geom)
-    rx = rx_bundle(n_r, lay.d, lay.lam, geom)
+    rx = rx_bundle(lay, n_r, geom)
     comp = composite_bundle(tx_sw, rx)
     return {"sw": tx_sw, "hspw": tx_h, "pw": tx_p, "rx": rx, "composite": comp}
 
@@ -222,10 +222,8 @@ def check_steering_derivatives() -> CheckOutcome:
         "sw": lambda g: sw_tx_bundle(lay, g),
         "hspw": lambda g: hspw_tx_bundle(lay, g),
         "pw": lambda g: pw_tx_bundle(lay, g),
-        "rx": lambda g: rx_bundle(n_r, lay.d, lay.lam, g),
-        "composite": lambda g: composite_bundle(
-            sw_tx_bundle(lay, g), rx_bundle(n_r, lay.d, lay.lam, g)
-        ),
+        "rx": lambda g: rx_bundle(lay, n_r, g),
+        "composite": lambda g: composite_bundle(sw_tx_bundle(lay, g), rx_bundle(lay, n_r, g)),
     }
     h = 1e-7
     for theta in (-0.9, 0.0, 0.5):

@@ -141,5 +141,5 @@ def bundle_fisher(
     if model not in TX_BUNDLES:
         raise DomainError(f"unknown wave model {model!r}")
     tx = TX_BUNDLES[model](layout, geom)
-    rx = rx_bundle(n_r, layout.d, layout.lam, geom)
+    rx = rx_bundle(layout, n_r, geom)
     return normalized_fisher(amfs(tx, rx))

@@ -143,3 +143,18 @@ def test_layout_validation():
         make_wsms(3, 4, D_HALF, 0.25 * LAM, LAM)
     with pytest.raises(InvalidLayout):
         make_wsms(2.5, 4, D_HALF, D_HALF, LAM)
+    with pytest.raises(InvalidLayout):
+        make_wsms(3, 4, 0.0, D_HALF, LAM)
+    # every length is finite: an infinite wavelength (a carrier near 1e-300 Hz)
+    # would put the elements at infinite or NaN coordinates
+    for bad in (math.inf, math.nan):
+        for args in ((bad, D_HALF, LAM), (D_HALF, bad, LAM), (D_HALF, D_HALF, bad),
+                     (bad, bad, bad)):
+            with pytest.raises(InvalidLayout):
+                make_wsms(3, 4, *args)
+            with pytest.raises(InvalidLayout):
+                make_ua(3, 4, *args)
+        with pytest.raises(InvalidLayout):
+            make_dua(3, 4, bad, LAM)
+        with pytest.raises(InvalidLayout):
+            make_dua(3, 4, D_HALF, bad)

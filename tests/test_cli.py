@@ -682,3 +682,99 @@ def test_error_rows_leave_no_reference_cycles(method):
         gc.enable()
     assert garbage == 0
     assert sum(bool(row["error_code"]) for row in rows) >= 5
+
+
+# Scenes each route must accept or reject alike: one error code on every
+# method, and a bound on all of them or on none.  The closed forms are left
+# out far from the array, where they print bounds the exact route does not
+# find (crb --r 1e4 --model hspw --method riemann, say).
+AGREEMENT_SCENES = [
+    ["--model", "hspw", "--layout", "ua"],  # the hybrid model needs subarrays
+    ["--model", "hspw", "--layout", "dua"],
+    ["--alpha=1e-200+0j"],                  # beta^2 underflows to zero
+    ["--snr_db=3000"],                      # a noise power of 1e-300
+    ["--frequency_hz", "1e-300"],           # the wavelength overflows to inf
+    ["--frequency_hz", "1e-300", "--theta", "0"],
+    ["--model", "hspw", "--frequency_hz", "1e-300"],
+    ["--N_r", "4", "--vartheta", "0.2"],    # a tilted receiver aperture
+    ["--N_r", "4", "--r", "50", "--theta", "0"],  # the target at the receiver's centre
+    ["--alpha=0j"],
+    ["--snr_db=4000"],
+]
+
+
+@pytest.mark.parametrize("scene", AGREEMENT_SCENES, ids=" ".join)
+def test_every_method_accepts_or_rejects_a_scene_alike(capsys, scene):
+    results = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for method in METHODS:
+            _, out = run_cli(capsys, ["crb", "--theta", "0.3", *scene, "--method", method])
+            row = parse_rows(out)[0]
+            results[method] = (row["error_code"], row["crb_theta_rad2"] != "")
+    assert len(set(results.values())) == 1, results
+
+
+def test_oracle_row_scales_from_unit_gain_and_noise():
+    base = ScenarioConfig(K=2, M=4, I=2, R=2.0, r=0.1, theta=0.35, N_r=2, method="oracle")
+    unit = run_point(base)
+    scaled = run_point(replace(base, alpha=0.5j, snr_db=-3.0))
+    factor = 10.0 ** 0.3 / 0.25  # sigma^2 / |alpha|^2
+    assert unit["error_code"] == scaled["error_code"] == ""
+    for col in ("crb_theta_rad2", "crb_r_m2"):
+        assert abs(scaled[col] - factor * unit[col]) <= 1e-12 * abs(factor * unit[col])
+
+
+# (row count, count of each error code) of each preset that sweeps r or theta
+PRESET_COUNTS = {
+    "fig3": (200, {"singular_fisher": 1}),
+    "fig4": (500, {"singular_fisher": 101}),
+    "fig5": (1220, {"singular_fisher": 246, "singularity_near_pi2": 8}),
+    "fig6": (177, {}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_COUNTS))
+def test_sweep_preset_rows_and_error_codes(name):
+    rows = experiment_cli.FIGURES[name]()
+    codes = {}
+    for row in rows:
+        if row["error_code"]:
+            codes[row["error_code"]] = codes.get(row["error_code"], 0) + 1
+    assert (len(rows), codes) == PRESET_COUNTS[name]
+
+
+# argv (a "{cfg}" entry names the config file written from the case's text)
+REJECTED_INPUTS = [
+    (["crb", "--K", "0"], None),
+    (["crb", "--M", "0"], None),
+    (["crb", "--N_r", "0"], None),
+    (["crb", "--I", "-1"], None),
+    (["crb", "--frequency_hz=-1"], None),
+    (["crb", "--frequency_hz", "inf"], None),
+    (["crb", "--snr_db", "nan"], None),
+    (["crb", "--config", "{cfg}"], "model = spherical\n"),
+    (["crb", "--config", "{cfg}"], "layout = hexagonal\n"),
+    (["crb", "--config", "{cfg}"], "method = simpson\n"),
+    (["crb", "--config", "{cfg}"], "K = three\n"),
+    (["sweep", "--axis", "K", "--start", "4", "--stop", "2"], None),
+    (["sweep", "--axis", "K", "--start", "0", "--stop", "2"], None),
+    (["sweep", "--axis", "I", "--start", "-1", "--stop", "2"], None),
+]
+
+
+@pytest.mark.parametrize("argv, config", REJECTED_INPUTS)
+def test_rejected_input_exits_two(capsys, tmp_path, argv, config):
+    path = tmp_path / "scenario.cfg"
+    if config is not None:
+        path.write_text(config)
+    with pytest.raises(SystemExit) as exc:
+        main([str(path) if arg == "{cfg}" else arg for arg in argv])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_unwritable_out_path_exits_one(capsys, tmp_path):
+    code = main(["crb", *DESK, "--out", str(tmp_path / "missing" / "rows.csv")])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err

@@ -18,6 +18,8 @@ from nearfield_crb import (
     hspw_crb_asymptotes,
     hspw_crb_closed,
     hspw_crb_theta0,
+    make_dua,
+    make_ua,
     ratio_check,
     received_gain_sq,
     sw_crb_closed,
@@ -225,3 +227,39 @@ def test_sums_table_rejects_unknown_pairs(model, method):
     geom = SceneGeometry(r=4.0, theta=0.35, big_r=50.0)
     with pytest.raises(DomainError, match="no sum formulas"):
         sums_fisher(lay, geom, 1, model=model, method=method)
+
+
+@pytest.mark.parametrize("n_r", [0, 2.5])
+def test_sums_route_rejects_a_receiver_size_as_the_bundle_route_does(n_r):
+    lay = std_wsms(3, 4, 2)
+    geom = SceneGeometry(r=4.0, theta=0.35, big_r=50.0)
+    for route in (
+        lambda: bundle_fisher(lay, geom, n_r),
+        lambda: sums_fisher(lay, geom, n_r, model="sw", method="direct"),
+        lambda: sums_fisher(lay, geom, n_r, model="hspw", method="riemann"),
+        lambda: sw_crb_closed(lay, geom, n_r),
+        lambda: hspw_crb_closed(lay, geom, n_r),
+    ):
+        with pytest.raises(DomainError, match="receiver size"):
+            route()
+
+
+@pytest.mark.parametrize("kind", ["ua", "dua"])
+def test_hybrid_sums_route_needs_a_widely_spaced_layout(kind):
+    base = std_wsms(3, 4, 2)
+    mirrors = {"ua": lambda: make_ua(3, 4, base.d, base.d0, base.lam),
+               "dua": lambda: make_dua(3, 4, base.d, base.lam)}
+    lay = mirrors[kind]()
+    geom = SceneGeometry(r=4.0, theta=0.0, big_r=50.0)
+    for route in (
+        lambda: bundle_fisher(lay, geom, 1, model="hspw"),
+        lambda: sums_fisher(lay, geom, 1, model="hspw", method="direct"),
+        lambda: sums_fisher(lay, geom, 1, model="hspw", method="riemann"),
+        lambda: hspw_crb_theta0(lay, geom, 1),
+        lambda: hspw_crb_asymptotes(lay, geom, 12),
+        lambda: ratio_check(lay, geom, 1),
+    ):
+        with pytest.raises(InvalidLayout, match="widely spaced"):
+            route()
+    # the spherical model takes every layout
+    sums_fisher(lay, geom, 1, model="sw", method="riemann")
