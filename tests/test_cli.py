@@ -6,6 +6,7 @@ import io
 import math
 import tracemalloc
 import warnings
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -737,14 +738,11 @@ PRESET_COUNTS = {
 @pytest.mark.parametrize("name", sorted(PRESET_COUNTS))
 def test_sweep_preset_rows_and_error_codes(name):
     rows = experiment_cli.FIGURES[name]()
-    codes = {}
-    for row in rows:
-        if row["error_code"]:
-            codes[row["error_code"]] = codes.get(row["error_code"], 0) + 1
+    codes = Counter(row["error_code"] for row in rows if row["error_code"])
     assert (len(rows), codes) == PRESET_COUNTS[name]
 
 
-# argv (a "{cfg}" entry names the config file written from the case's text)
+# (argv, the text of a --config file or None)
 REJECTED_INPUTS = [
     (["crb", "--K", "0"], None),
     (["crb", "--M", "0"], None),
@@ -753,10 +751,10 @@ REJECTED_INPUTS = [
     (["crb", "--frequency_hz=-1"], None),
     (["crb", "--frequency_hz", "inf"], None),
     (["crb", "--snr_db", "nan"], None),
-    (["crb", "--config", "{cfg}"], "model = spherical\n"),
-    (["crb", "--config", "{cfg}"], "layout = hexagonal\n"),
-    (["crb", "--config", "{cfg}"], "method = simpson\n"),
-    (["crb", "--config", "{cfg}"], "K = three\n"),
+    (["crb"], "model = spherical\n"),
+    (["crb"], "layout = hexagonal\n"),
+    (["crb"], "method = simpson\n"),
+    (["crb"], "K = three\n"),
     (["sweep", "--axis", "K", "--start", "4", "--stop", "2"], None),
     (["sweep", "--axis", "K", "--start", "0", "--stop", "2"], None),
     (["sweep", "--axis", "I", "--start", "-1", "--stop", "2"], None),
@@ -765,11 +763,12 @@ REJECTED_INPUTS = [
 
 @pytest.mark.parametrize("argv, config", REJECTED_INPUTS)
 def test_rejected_input_exits_two(capsys, tmp_path, argv, config):
-    path = tmp_path / "scenario.cfg"
     if config is not None:
+        path = tmp_path / "scenario.cfg"
         path.write_text(config)
+        argv = [*argv, "--config", str(path)]
     with pytest.raises(SystemExit) as exc:
-        main([str(path) if arg == "{cfg}" else arg for arg in argv])
+        main(argv)
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
 

@@ -247,9 +247,8 @@ def test_sums_route_rejects_a_receiver_size_as_the_bundle_route_does(n_r):
 @pytest.mark.parametrize("kind", ["ua", "dua"])
 def test_hybrid_sums_route_needs_a_widely_spaced_layout(kind):
     base = std_wsms(3, 4, 2)
-    mirrors = {"ua": lambda: make_ua(3, 4, base.d, base.d0, base.lam),
-               "dua": lambda: make_dua(3, 4, base.d, base.lam)}
-    lay = mirrors[kind]()
+    lay = {"ua": make_ua(3, 4, base.d, base.d0, base.lam),
+           "dua": make_dua(3, 4, base.d, base.lam)}[kind]
     geom = SceneGeometry(r=4.0, theta=0.0, big_r=50.0)
     for route in (
         lambda: bundle_fisher(lay, geom, 1, model="hspw"),
