@@ -68,7 +68,6 @@ from .fisher_core import (
     amfs,
     bundle_crb,
     bundle_fisher,
-    composite_bundle,
     crb,
     crb_theta_only,
     full_fisher_oracle,

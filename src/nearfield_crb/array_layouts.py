@@ -100,6 +100,8 @@ def make_ua(K: int, M: int, d: float, d0: float, lam: float) -> ArrayLayout:
         raise InvalidLayout("a uniform mirror needs at least two elements")
     big_d = (M - 1) * d + d0
     d_prime = ((K - 1) * big_d + (M - 1) * d) / (K * M - 1)
+    if not d_prime < math.inf:
+        raise InvalidLayout(f"the uniform mirror's spacing overflows a float, got {d_prime!r}")
     return ArrayLayout("ua", K, M, d_prime, d_prime, lam)
 
 

@@ -20,9 +20,12 @@ The bundle route never builds that length N_t*N_r vector: ``amfs`` takes
 each composite inner product factor by factor, as sums of products of
 transmit-side and receive-side inner products (the mixed-product rule
 <a (x) b, c (x) d> = <a, c><b, d>), at O(N_t + N_r) cost.
-``composite_bundle`` builds the explicit vector for the checks that inspect
-it, and ``full_fisher_oracle`` alone builds it on a bound's path, since it is
-the independent check.
+``full_fisher_oracle`` alone builds that vector on a product path, since it
+is the independent check.  ``composite_bundle`` builds it with its
+derivatives but has no caller in the package: it is the tests' reference
+for ``amfs``, and the benchmark's tracer and reference recorder name it.
+It moves out of the package once the recorder builds its own composite
+vector (ROADMAP item 2).
 
 Transmit bundles are built per batch of points on one layout
 (``tx_bundles``, ``bundle_fishers``): the element positions, k0 and the
@@ -118,8 +121,6 @@ class OracleResult:
 
     crb_theta: float
     crb_r: float
-    fisher: np.ndarray
-    covariance: np.ndarray
     alpha_cross: float
     inversion_residual: float
 
@@ -157,7 +158,8 @@ def _element_distances(n: np.ndarray, r, sin) -> tuple:
     Those rows are set to 1, so that the rest of the batch raises no
     floating-point warning on their account.
     """
-    with np.errstate(over="ignore"):
+    # when r * r and 2 n r sin both overflow, their difference is NaN
+    with np.errstate(over="ignore", invalid="ignore"):
         rnt = r * r - 2.0 * n * r * sin + n * n
     rows = rnt.reshape(-1, n.size)
     errors = [None] * len(rows)
@@ -588,8 +590,6 @@ def full_fisher_oracle(
     return OracleResult(
         crb_theta=float(covariance[0, 0]),
         crb_r=float(covariance[1, 1]),
-        fisher=fisher,
-        covariance=covariance,
         alpha_cross=alpha_cross,
         inversion_residual=residual,
     )

@@ -34,19 +34,16 @@ from .crb_analytic import (
     sw_crb_theta0,
     sw_fisher_from_sums,
 )
-from .errors import SingularityNearPi2
+from .errors import CrbEngineError, SingularityNearPi2
 from .fisher_core import (
     bundle_crb,
     bundle_fisher,
-    composite_bundle,
     crb,
     crb_theta_only,
     full_fisher_oracle,
-    hspw_tx_bundle,
-    pw_tx_bundle,
     received_gain_sq,
     rx_bundle,
-    sw_tx_bundle,
+    tx_bundles,
 )
 from .geometry import (
     SceneGeometry,
@@ -194,50 +191,53 @@ def check_uniform_mirrors() -> CheckOutcome:
 # steering bundles
 # ---------------------------------------------------------------------------
 
-def _bundle_set(lay, geom, n_r):
-    tx_sw = sw_tx_bundle(lay, geom)
-    tx_h = hspw_tx_bundle(lay, geom)
-    tx_p = pw_tx_bundle(lay, geom)
-    rx = rx_bundle(lay, n_r, geom)
-    comp = composite_bundle(tx_sw, rx)
-    return {"sw": tx_sw, "hspw": tx_h, "pw": tx_p, "rx": rx, "composite": comp}
+TX_MODELS = ("sw", "hspw", "pw")
+
+
+def _tx_batch(lay, geoms, model) -> list:
+    """The transmit bundles at geoms from one batched call, the sweeps' route."""
+    bundles = tx_bundles(lay, geoms, model)
+    for b in bundles:
+        if isinstance(b, CrbEngineError):
+            raise b
+    return bundles
 
 
 def check_steering_norms() -> CheckOutcome:
-    worst = 0.0
     lay = _std_layout(3, 8, 4)
-    for theta in (-0.9, 0.0, 0.5):
-        geom = SceneGeometry(r=5.0, theta=theta, big_r=20.0)
-        for b in _bundle_set(lay, geom, 6).values():
-            worst = max(worst, abs(float(np.linalg.norm(b.value)) - 1.0))
+    geoms = [SceneGeometry(r=5.0, theta=theta, big_r=20.0) for theta in (-0.9, 0.0, 0.5)]
+    bundles = [b for model in TX_MODELS for b in _tx_batch(lay, geoms, model)]
+    bundles += [rx_bundle(lay, 6, g) for g in geoms]
+    worst = max(abs(float(np.linalg.norm(b.value)) - 1.0) for b in bundles)
     return CheckOutcome("steering_unit_norm", worst <= 1e-12, worst, 1e-12)
 
 
 def check_steering_derivatives() -> CheckOutcome:
-    """Analytic bundle derivatives against central finite differences."""
-    worst = 0.0
+    """Analytic bundle derivatives against central finite differences.
+
+    Each scene is followed by its four displaced copies, and each transmit
+    model builds all of them in one batch.
+    """
     lay = _std_layout(3, 8, 4)
-    n_r = 6
-    builders = {
-        "sw": lambda g: sw_tx_bundle(lay, g),
-        "hspw": lambda g: hspw_tx_bundle(lay, g),
-        "pw": lambda g: pw_tx_bundle(lay, g),
-        "rx": lambda g: rx_bundle(lay, n_r, g),
-        "composite": lambda g: composite_bundle(sw_tx_bundle(lay, g), rx_bundle(lay, n_r, g)),
-    }
     h = 1e-7
+    geoms = []
     for theta in (-0.9, 0.0, 0.5):
-        geom = SceneGeometry(r=5.0, theta=theta, big_r=20.0)
-        for build in builders.values():
-            b = build(geom)
-            fd_t = (
-                build(replace(geom, theta=theta + h)).value
-                - build(replace(geom, theta=theta - h)).value
-            ) / (2 * h)
-            fd_r = (
-                build(replace(geom, r=geom.r + h * geom.r)).value
-                - build(replace(geom, r=geom.r - h * geom.r)).value
-            ) / (2 * h * geom.r)
+        g = SceneGeometry(r=5.0, theta=theta, big_r=20.0)
+        geoms += [
+            g,
+            replace(g, theta=theta + h),
+            replace(g, theta=theta - h),
+            replace(g, r=g.r + h * g.r),
+            replace(g, r=g.r - h * g.r),
+        ]
+    sets = [_tx_batch(lay, geoms, model) for model in TX_MODELS]
+    sets.append([rx_bundle(lay, 6, g) for g in geoms])
+    worst = 0.0
+    for bundles in sets:
+        for p in range(0, len(geoms), 5):
+            b, t_up, t_down, r_up, r_down = bundles[p : p + 5]
+            fd_t = (t_up.value - t_down.value) / (2 * h)
+            fd_r = (r_up.value - r_down.value) / (2 * h * geoms[p].r)
             err_t = float(np.linalg.norm(b.d_theta - fd_t)) / (1.0 + float(np.linalg.norm(b.d_theta)))
             err_r = float(np.linalg.norm(b.d_r - fd_r)) / (1.0 + float(np.linalg.norm(b.d_r)))
             worst = max(worst, err_t, err_r)
@@ -248,16 +248,13 @@ def check_planar_limit() -> CheckOutcome:
     """Spherical phases converge to planar phases as r grows (fixed aperture)."""
     lay = _std_layout(2, 8, 3)
     ap = aperture(lay)
-    theta = 0.4
+    rs = [scale * ap for scale in (1e2, 1e3, 1e4)]
+    geoms = [SceneGeometry(r=r, theta=0.4, big_r=10 * r) for r in rs]
+    k0 = 2.0 * math.pi / lay.lam
     devs = []
-    for scale in (1e2, 1e3, 1e4):
-        r = scale * ap
-        geom = SceneGeometry(r=r, theta=theta, big_r=10 * r)
-        sw = sw_tx_bundle(lay, geom).value
-        pw = pw_tx_bundle(lay, geom).value
-        k0 = 2.0 * math.pi / lay.lam
+    for r, sw, pw in zip(rs, _tx_batch(lay, geoms, "sw"), _tx_batch(lay, geoms, "pw")):
         align = np.exp(1j * k0 * r)
-        devs.append(float(np.max(np.abs(np.angle(sw * np.conj(pw) * align)))))
+        devs.append(float(np.max(np.abs(np.angle(sw.value * np.conj(pw.value) * align)))))
     ok = devs[0] > devs[1] > devs[2]
     return CheckOutcome(
         "planar_limit_decay",
@@ -337,13 +334,11 @@ def check_riemann_tracks_direct() -> CheckOutcome:
             errs[name].append(
                 abs(getattr(approx, name) - getattr(exact, name)) / abs(getattr(exact, name))
             )
-    shrinking = all(
-        a >= b - 1e-12 for name in angle_names for a, b in zip(errs[name], errs[name][1:])
-    )
+    shrinking = all(a >= b for name in angle_names for a, b in zip(errs[name], errs[name][1:]))
     range_flat = max(e for name in range_names for e in errs[name])
     worst_k12 = max(errs[name][-1] for name in angle_names)
     worst_k3 = max(errs[name][0] for name in angle_names)
-    ok = shrinking and worst_k12 <= 0.01 and worst_k3 <= 0.13 and range_flat <= 1e-4
+    ok = shrinking and worst_k12 < 0.01 and worst_k3 <= 0.13 and range_flat <= 1e-4
     return CheckOutcome(
         "closed_sums_convergence",
         ok,

@@ -158,3 +158,6 @@ def test_layout_validation():
             make_dua(3, 4, bad, LAM)
         with pytest.raises(InvalidLayout):
             make_dua(3, 4, D_HALF, bad)
+    # finite lengths whose mirror spacing overflows
+    with pytest.raises(InvalidLayout):
+        make_ua(3, 4, 1e306, 1e308, 1e306)

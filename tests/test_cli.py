@@ -24,7 +24,7 @@ from nearfield_crb import (
     received_gain_sq,
     sums_fisher,
 )
-from nearfield_crb import experiment_cli, fisher_core
+from nearfield_crb import experiment_cli, fisher_core, validation
 from nearfield_crb.errors import (
     CrbEngineError,
     IllConditioned,
@@ -300,8 +300,30 @@ def test_validate_subcommand(capsys):
     code = main(["validate"])
     out = capsys.readouterr().out
     assert code == 0
-    assert "checks passed" in out
-    assert "FAIL" not in out
+    assert "20/20 checks passed" in out
+
+
+@pytest.mark.parametrize("check", validation.ALL_CHECKS, ids=lambda fn: fn.__name__)
+def test_validation_check_passes(check):
+    outcome = check()
+    assert outcome.passed, outcome
+
+
+def test_steering_checks_build_transmit_bundles_in_batches(monkeypatch):
+    sizes = []
+
+    def spy(layout, geoms, model):
+        sizes.append(len(geoms))
+        return fisher_core.tx_bundles(layout, geoms, model)
+
+    monkeypatch.setattr(validation, "tx_bundles", spy)
+    for check in (
+        validation.check_steering_norms,
+        validation.check_steering_derivatives,
+        validation.check_planar_limit,
+    ):
+        assert check().passed
+    assert sizes == [3, 3, 3, 15, 15, 15, 3, 3]
 
 
 def test_format_cell():
@@ -701,6 +723,11 @@ AGREEMENT_SCENES = [
     ["--N_r", "4", "--r", "50", "--theta", "0"],  # the target at the receiver's centre
     ["--alpha=0j"],
     ["--snr_db=4000"],
+    # r * r and 2 n r sin(theta) both overflow, and inf - inf is NaN
+    ["--frequency_hz", "1e-150", "--r", "2e157", "--R", "1e158", "--N_r", "4"],
+    ["--model", "hspw", "--frequency_hz", "1e-150", "--r", "2e157", "--R", "1e158", "--N_r", "4"],
+    ["--frequency_hz", "3e-298"],
+    ["--frequency_hz", "3e-298", "--layout", "ua"],  # the mirror's spacing overflows
 ]
 
 

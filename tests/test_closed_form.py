@@ -1,18 +1,21 @@
-"""Sum formulas: brute-force loops, quadrature certificates, and identities."""
+"""Sum formulas: brute-force loops, quadrature values, and identities.
+
+The antiderivative certificates (finite differences and ``quad``) are A8's,
+in test_acceptance.py; the midpoint error's decay over K is ``validate``'s
+``closed_sums_convergence``, run case by case in test_cli.py.
+"""
 
 import math
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 
 import separate_antiderivatives as separate
 from conftest import (
     D_HALF,
     brute_sums,
     layout_shapes,
-    richardson_diff,
     seeded,
     std_wsms,
     target_ranges,
@@ -29,13 +32,6 @@ from nearfield_crb import closed_form
 from nearfield_crb.closed_form import (
     THETA_RIEMANN_CAP,
     f_artanh_shift,
-    f_atan_nu2,
-    f_log_nu1,
-    f_log_shift,
-    f_one_over_sqrt_nu1,
-    f_sqrt_nu1,
-    f_x2_over_nu1,
-    f_x_over_nu1,
     f_x_over_sqrt_nu1,
     g_r,
     g_theta,
@@ -45,8 +41,6 @@ from nearfield_crb.closed_form import (
     hspw_sums_closed,
     hspw_sums_direct,
     hspw_theta0_sums,
-    nu1,
-    nu2,
     riemann_bounds,
     sw_sums_direct,
     sw_sums_riemann,
@@ -242,19 +236,6 @@ def test_hspw_closed_matches_single_quadrature():
         assert math.isclose(g, e, rel_tol=1e-12)
 
 
-def test_riemann_error_shrinks_with_subarray_count():
-    geom = SceneGeometry(r=10.0, theta=math.pi / 4.0, big_r=50.0)
-    errors = []
-    for k in (3, 6, 9, 12):
-        lay = std_wsms(k, 128, 3)
-        exact = sw_sums_direct(lay, geom)
-        approx = sw_sums_riemann(lay, geom)
-        errors.append(abs(approx.s_theta2 - exact.s_theta2) / abs(exact.s_theta2))
-    for a, b in zip(errors, errors[1:]):
-        assert b <= a
-    assert errors[-1] < 0.01
-
-
 def test_riemann_bounds_structure():
     lay = std_wsms(3, 4, 2)
     b = riemann_bounds(lay, 2.0)
@@ -274,62 +255,6 @@ def test_riemann_theta_cap():
         sw_sums_riemann(lay, SceneGeometry(r=4.0, theta=1.46, big_r=50.0))
     with pytest.raises(SingularityNearPi2):
         sw_sums_riemann(lay, SceneGeometry(r=4.0, theta=-1.5, big_r=50.0))
-
-
-# ---------------------------------------------------------------------------
-# antiderivative certificates
-# ---------------------------------------------------------------------------
-
-FIRST_LEVEL = [
-    (f_x2_over_nu1, lambda x, t: x * x / nu1(x, t)),
-    (f_x_over_sqrt_nu1, lambda x, t: x / math.sqrt(nu1(x, t))),
-    (f_one_over_sqrt_nu1, lambda x, t: 1.0 / math.sqrt(nu1(x, t))),
-    (f_x_over_nu1, lambda x, t: x / nu1(x, t)),
-    (f_log_nu1, lambda x, t: math.log(nu1(x, t))),
-    (f_atan_nu2, lambda x, t: math.atan(nu2(x, t))),
-    (f_sqrt_nu1, lambda x, t: math.sqrt(nu1(x, t))),
-    (
-        f_artanh_shift,
-        lambda x, t: math.atanh((x - math.sin(t)) / math.sqrt(nu1(x, t))),
-    ),
-    (
-        f_log_shift,
-        lambda x, t: math.log(math.sqrt(nu1(x, t)) + x - math.sin(t)),
-    ),
-]
-
-SECOND_LEVEL = [
-    (g_theta2, f_x2_over_nu1),
-    (g_theta, f_x_over_sqrt_nu1),
-    (g_r, f_one_over_sqrt_nu1),
-    (g_thetar, f_x_over_nu1),
-]
-
-
-def test_antiderivatives_match_integrands_by_fd():
-    rng = seeded("antiderivative-fd")
-    for anti, integrand in FIRST_LEVEL + SECOND_LEVEL:
-        for _ in range(40):
-            x = rng.uniform(-3.0, 3.0)
-            t = rng.uniform(-1.4, 1.4)
-            if anti is f_log_shift and x - math.sin(t) + math.sqrt(nu1(x, t)) < 1e-3:
-                continue
-            fd = richardson_diff(lambda xx: anti(xx, t), x, h=1e-4)
-            assert math.isclose(fd, integrand(x, t), rel_tol=1e-6, abs_tol=1e-9), (
-                anti.__name__, x, t)
-
-
-def test_definite_integrals_match_quadrature():
-    rng = seeded("antiderivative-quad")
-    for anti, integrand in FIRST_LEVEL:
-        for _ in range(8):
-            t = rng.uniform(-1.4, 1.4)
-            a = rng.uniform(-3.0, 0.0)
-            b = a + rng.uniform(0.2, 3.0)
-            ref, err = quad(integrand, a, b, args=(t,), epsabs=1e-13, epsrel=1e-13)
-            assert err < 1e-10
-            assert math.isclose(anti(b, t) - anti(a, t), ref, rel_tol=1e-9, abs_tol=1e-11), (
-                anti.__name__, a, b, t)
 
 
 # ---------------------------------------------------------------------------
