@@ -22,6 +22,14 @@ sqrt(nu1), arctan(nu2) and the logarithms between them.  The public f_* /
 g_* functions each return one entry of that pass, so every formula is
 written once and the sums use exactly the arithmetic the functions do.
 
+The closed forms take one point or a whole grid.  ``riemann_bounds``,
+the antiderivatives' one-pass evaluators, ``sw_sums_riemann`` and
+``hspw_sums_closed`` accept a ``SceneGeometry`` (or a range) of floats, or
+a ``GeometryGrid`` (or an array of ranges or edges) with one entry per
+point.  A grid runs the same expressions in the same order on arrays,
+through ``pointwise``: each entry is bit for bit the float the point gives
+alone, and a point that would raise alone reads NaN instead.
+
 Since nu1 = (x - sin theta)^2 + cos^2(theta) >= cos^2(theta) > 0 for
 |theta| < pi/2, every logarithm and inverse hyperbolic tangent below is
 well defined on that whole strip.
@@ -37,6 +45,7 @@ import numpy as np
 from .array_layouts import ArrayLayout, element_positions, subarray_centers
 from .errors import DomainError, SingularFisher, SingularityNearPi2
 from .geometry import SceneGeometry
+from .pointwise import atan, checked, cos, every, log, power, sin, some, sqrt, tan, where
 
 # Above this |theta| the closed-form evaluation loses accuracy fast as the
 # integrands pile up near the theta -> pi/2 singularity; callers get an error
@@ -82,29 +91,33 @@ def _nu1(x, s):
 
 
 def nu1(x: float, theta: float) -> float:
-    return _nu1(x, math.sin(theta))
+    return _nu1(x, sin(theta))
 
 
 def nu2(x: float, theta: float) -> float:
-    return (x - math.sin(theta)) / math.cos(theta)
+    return (x - sin(theta)) / cos(theta)
 
 
 def _artanh(z: float) -> float:
     # The analytic arguments here satisfy |z| < 1, but for an aperture far
-    # wider than the range they round onto 1 (or overflow to NaN).
-    if not abs(z) < 1.0:
-        raise DomainError(f"artanh needs |z| < 1, got {z!r}")
-    return 0.5 * math.log((1.0 + z) / (1.0 - z))
+    # wider than the range they round onto 1 (or overflow to NaN).  The
+    # test is ``not abs(z) < 1.0``, which NaN fails too.
+    bad = (z != z) | (abs(z) >= 1.0)
+    z = checked(z, bad, lambda: DomainError(f"artanh needs |z| < 1, got {z!r}"))
+    return 0.5 * log((1.0 + z) / (1.0 - z))
 
 
 def _angle(theta: float) -> tuple:
-    """The antiderivatives' constants at one angle: sin, cos, cos(2 theta) / cos, tan."""
-    s, c = math.sin(theta), math.cos(theta)
-    return s, c, math.cos(2.0 * theta) / c, math.tan(theta)
+    """The antiderivatives' constants at each angle.
+
+    sin, cos, cos(2 theta) / cos, tan and ln(cos^2) = 2 ln(cos).
+    """
+    s, c = sin(theta), cos(theta)
+    return s, c, cos(2.0 * theta) / c, tan(theta), 2.0 * log(c)
 
 
-def _edge(x: float, s: float, c: float) -> tuple:
-    """The values every antiderivative draws on at one edge x.
+def _edge(x: float, angle: tuple) -> tuple:
+    """The values every antiderivative draws on at each edge x.
 
     Returns u = x - sin(theta), nu2 = u / cos(theta), q = sqrt(nu1),
     ln(nu1), arctan(nu2) and ln(q + u).  For u < 0 the sum q + u cancels,
@@ -113,17 +126,16 @@ def _edge(x: float, s: float, c: float) -> tuple:
     exact arithmetic, but where sin(theta) rounds to 1 an edge at x = 1
     gives nu1 = 0: a DomainError, as in the direct sums.
     """
+    s, c, _, _, log_c2 = angle
     u = x - s
     nu = _nu1(x, s)
-    if nu <= 0.0:
-        raise DomainError(f"nu1 <= 0 at x = {x!r}, sin(theta) = {s!r}")
-    q = math.sqrt(nu)
+    nu = checked(nu, nu <= 0.0, lambda: DomainError(f"nu1 <= 0 at x = {x!r}, sin(theta) = {s!r}"))
+    q = sqrt(nu)
     v = u / c
-    if u >= 0.0:
-        log_q_plus_u = math.log(q + u)
-    else:
-        log_q_plus_u = 2.0 * math.log(c) - math.log(q - u)
-    return u, v, q, math.log(nu), math.atan(v), log_q_plus_u
+    ahead = u >= 0.0
+    log_q_abs_u = log(where(ahead, q + u, q - u))
+    log_q_plus_u = where(ahead, log_q_abs_u, log_c2 - log_q_abs_u)
+    return u, v, q, log(nu), atan(v), log_q_plus_u
 
 
 # ---------------------------------------------------------------------------
@@ -142,11 +154,11 @@ def _first_level(x: float, angle: tuple, odd: bool) -> tuple:
     Returns the antiderivatives of x^2 / nu1, x / sqrt(nu1) (the artanh
     entry), 1 / sqrt(nu1) and x / nu1, in that order.
     """
-    s, c, cos2_over_c, tan = angle
-    u, v, q, log_nu1, atan_nu2, log_q_plus_u = _edge(x, s, c)
+    s, c, cos2_over_c, tan_theta, _ = angle
+    u, v, q, log_nu1, atan_nu2, log_q_plus_u = _edge(x, angle)
     x2_over_nu1 = x + s * log_nu1 - cos2_over_c * atan_nu2
     x_over_sqrt_nu1 = q + s * _artanh(u / q) if odd else None
-    x_over_nu1 = tan * atan_nu2 + 0.5 * log_nu1
+    x_over_nu1 = tan_theta * atan_nu2 + 0.5 * log_nu1
     return x2_over_nu1, x_over_sqrt_nu1, log_q_plus_u, x_over_nu1
 
 
@@ -159,14 +171,14 @@ def _second_level(x: float, angle: tuple, odd: bool) -> tuple:
     (None with g_theta).  g_r is itself the helper antiderivative of
     ln(sqrt(nu1) + x - sin theta).
     """
-    s, c, cos2_over_c, tan = angle
-    u, v, q, log_nu1, atan_nu2, log_q_plus_u = _edge(x, s, c)
+    s, c, cos2_over_c, tan_theta, _ = angle
+    u, v, q, log_nu1, atan_nu2, log_q_plus_u = _edge(x, angle)
     f_log = u * log_nu1 - 2.0 * x + 2.0 * c * atan_nu2
-    f_atan = c * (v * atan_nu2 - 0.5 * math.log(v * v + 1.0))
+    f_atan = c * (v * atan_nu2 - 0.5 * log(v * v + 1.0))
     f_sqrt = 0.5 * u * q + 0.5 * c * c * log_q_plus_u
     f_log_shift = u * log_q_plus_u - q
     g2 = 0.5 * x * x + s * f_log - cos2_over_c * f_atan
-    gtr = tan * f_atan + 0.5 * f_log
+    gtr = tan_theta * f_atan + 0.5 * f_log
     if odd:
         f_artanh = u * _artanh(u / q) - q
         gt = f_sqrt + s * f_artanh
@@ -295,8 +307,8 @@ def hspw_sums_direct(layout: ArrayLayout, geom: SceneGeometry) -> SumFormulas:
 # ---------------------------------------------------------------------------
 
 def riemann_bounds(layout: ArrayLayout, r: float) -> RiemannBounds:
-    """Partition edges of the double midpoint sum, normalized by r."""
-    if not r > 0.0:
+    """Partition edges of the double midpoint sum, normalized by r (one or many)."""
+    if not every(r > 0.0):
         raise DomainError(f"range must be positive, got {r!r}")
     delta_d = layout.d / r
     delta_big_d = layout.big_d / r
@@ -318,51 +330,53 @@ def _cell_weight(b: RiemannBounds, weight: float) -> float:
     The cell area underflows to zero at a range beyond ~1e154 cell sizes,
     where the sums carry no usable information.
     """
-    try:
-        return weight / (b.delta_d * b.delta_big_d)
-    except ZeroDivisionError:
-        raise SingularFisher("the closed form's cell area underflows against the range") from None
+    area = b.delta_d * b.delta_big_d
+    area = checked(area, area == 0.0, lambda: SingularFisher(
+        "the closed form's cell area underflows against the range"
+    ))
+    return weight / area
 
 
-def _check_riemann_theta(theta: float) -> None:
+def _check_riemann_theta(theta: float) -> float:
+    """theta, once it is within the closed forms' cap."""
     # The slack keeps grid points that should sit exactly on the cap (for
     # example linspace hitting 1.4500000000000002) from being rejected.
-    if abs(theta) > THETA_RIEMANN_CAP + 1e-9:
-        raise SingularityNearPi2(
-            f"closed-form sums need |theta| <= {THETA_RIEMANN_CAP}, got {theta!r}; "
-            "use the direct sums instead"
-        )
+    return checked(theta, abs(theta) > THETA_RIEMANN_CAP + 1e-9, lambda: SingularityNearPi2(
+        f"closed-form sums need |theta| <= {THETA_RIEMANN_CAP}, got {theta!r}; "
+        "use the direct sums instead"
+    ))
 
 
 def sw_sums_riemann(layout: ArrayLayout, geom: SceneGeometry) -> SumFormulas:
     """Closed-form element-level sums via the double midpoint approximation."""
-    _check_riemann_theta(geom.theta)
+    theta = _check_riemann_theta(geom.theta)
     b = riemann_bounds(layout, geom.r)
     pref = _cell_weight(b, 1.0)
-    angle = _angle(geom.theta)
+    angle = _angle(theta)
     s, c = angle[0], angle[1]
     # The odd-symmetry sums vanish identically on broadside; evaluating
     # the four-point combination there returns only rounding noise
-    # amplified by pref, so they are exact zeros and their terms are skipped.
-    odd = geom.theta != 0.0
-    g4 = _second_level(b.x4, angle, odd)
-    g3 = _second_level(b.x3, angle, odd)
-    g2 = _second_level(b.x2, angle, odd)
-    g1 = _second_level(b.x1, angle, odd)
+    # amplified by pref, so they are exact zeros and, where no point of a
+    # grid is off broadside, their terms are skipped.
+    odd = theta != 0.0
+    g4 = _second_level(b.x4, angle, some(odd))
+    g3 = _second_level(b.x3, angle, some(odd))
+    g2 = _second_level(b.x2, angle, some(odd))
+    g1 = _second_level(b.x1, angle, some(odd))
 
     def four_point(i):
         return g4[i] - g3[i] - g2[i] + g1[i]
 
     s_theta2 = pref * four_point(0)
-    if odd:
-        s_theta = pref * four_point(1)
-        s_thetar = s * s_theta2 - pref * four_point(2)
+    if some(odd):
+        s_theta = where(odd, pref * four_point(1), 0.0)
+        s_thetar = where(odd, s * s_theta2 - pref * four_point(2), 0.0)
     else:
         s_theta = 0.0
         s_thetar = 0.0
     s_r = s * s_theta - pref * four_point(3)
     n = layout.n_elements
-    s_r2 = n - c ** 2 * s_theta2
+    s_r2 = n - power(c, 2) * s_theta2
     return SumFormulas(s_theta2, s_theta, s_r, s_r2, s_thetar, n)
 
 
@@ -381,7 +395,7 @@ def hspw_sums_closed(layout: ArrayLayout, geom: SceneGeometry) -> SumFormulas:
     s_theta = edge_diff(1)
     s_r = s * s_theta - edge_diff(2)
     s_thetar = s * s_theta2 - edge_diff(3)
-    s_r2 = layout.K - c ** 2 * s_theta2
+    s_r2 = layout.K - power(c, 2) * s_theta2
     return SumFormulas(s_theta2, s_theta, s_r, s_r2, s_thetar, layout.K)
 
 

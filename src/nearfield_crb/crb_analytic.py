@@ -21,12 +21,21 @@ feeding the closed-form sums gives the fast approximations.
 Every bound here is at unit gain (alpha = 1, so beta^2 = N_r N_t) and unit
 noise; ``fisher_core.crb(nf, beta_sq, sigma_n_sq)`` scales a block to any
 other.
+
+The assembly takes one point or a grid: ``chi_factors``, the
+``*_fisher_from_sums`` assemblies and ``sums_fisher`` accept a
+``GeometryGrid`` wherever they accept a scene, and then return arrays
+with one entry per point, each bit for bit the point's own float (see
+``pointwise``).  ``sums_fishers`` evaluates a list of scenes as one grid
+and hands back each point's block, or its own engine error.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .array_layouts import ArrayLayout, make_dua, make_ua, make_wsms, require_widely_spaced
 from .closed_form import (
@@ -38,7 +47,7 @@ from .closed_form import (
     sw_sums_riemann,
     sw_theta0_sums,
 )
-from .errors import DomainError, SingularFisher
+from .errors import CrbEngineError, DomainError, SingularFisher
 from .fisher_core import (
     _EPS,
     NOISE_FLOOR_MULT,
@@ -49,7 +58,8 @@ from .fisher_core import (
     received_gain_sq,
     require_receiver_size,
 )
-from .geometry import SceneGeometry, dsinphi_dr, dsinphi_dtheta
+from .geometry import GeometryGrid, SceneGeometry, dsinphi_dr, dsinphi_dtheta
+from .pointwise import checked, cos, power
 
 
 @dataclass(frozen=True)
@@ -92,9 +102,9 @@ class LayoutComparison:
 def chi_factors(layout: ArrayLayout, geom: SceneGeometry, n_r: int) -> ChiFactors:
     require_receiver_size(n_r)
     lam = layout.lam
-    c = math.cos(geom.theta)
+    c = cos(geom.theta)
     try:
-        curvature = 4.0 * math.pi ** 2 * geom.r ** 2 * c * c / lam ** 2
+        curvature = 4.0 * math.pi ** 2 * power(geom.r, 2) * c * c / lam ** 2
         chi_nr = math.pi ** 2 * layout.d ** 2 * (n_r ** 2 - 1) / (3.0 * lam ** 2)
         chi_m = math.pi ** 2 * layout.d ** 2 * (layout.M ** 2 - 1) / (3.0 * lam ** 2)
     except (OverflowError, ZeroDivisionError):
@@ -122,32 +132,31 @@ def _assemble(
     planar_11: float = 0.0,
 ) -> NormalizedFisher:
     n = sums.n
-    r, c = geom.r, math.cos(geom.theta)
-    if r * r * c * c == 0.0:
-        # below a range of ~1e-154 m the range terms divide by zero
-        raise SingularFisher("r^2 cos^2(theta) underflows: the range is too small")
-    q11 = chi_tx * (sums.s_theta2 / n - (sums.s_theta / n) ** 2) + planar_11 + chi_nr * phi_theta ** 2
+    r, c = geom.r, cos(geom.theta)
+    r2c2 = r * r * c * c
+    # below a range of ~1e-154 m the range terms divide by zero
+    r2c2 = checked(r2c2, r2c2 == 0.0, lambda: SingularFisher(
+        "r^2 cos^2(theta) underflows: the range is too small"
+    ))
+    chi_range = chi_tx / r2c2
+    mean_theta_sq = power(sums.s_theta / n, 2)
+    mean_r_sq = power(sums.s_r / n, 2)
+    rx_11 = chi_nr * power(phi_theta, 2)
+    rx_22 = chi_nr * power(phi_r, 2)
+    q11 = chi_tx * (sums.s_theta2 / n - mean_theta_sq) + planar_11 + rx_11
     q12 = (
         chi_tx / (r * c) * (sums.s_thetar / n - sums.s_theta * sums.s_r / n ** 2)
         + chi_nr * phi_theta * phi_r
     )
-    q22 = (
-        chi_tx / (r * r * c * c) * (sums.s_r2 / n - (sums.s_r / n) ** 2)
-        + chi_nr * phi_r ** 2
-    )
+    q22 = chi_range * (sums.s_r2 / n - mean_r_sq) + rx_22
     # Round-off floors from the pre-cancellation magnitudes: the variance
     # factors subtract same-sign quantities, so anything below these is
     # numerically zero information, not a usable bound.
     floor_mult = NOISE_FLOOR_MULT * _EPS
     q11_floor = floor_mult * (
-        chi_tx * (abs(sums.s_theta2) / n + (sums.s_theta / n) ** 2)
-        + abs(planar_11)
-        + chi_nr * phi_theta ** 2
+        chi_tx * (abs(sums.s_theta2) / n + mean_theta_sq) + abs(planar_11) + rx_11
     )
-    q22_floor = floor_mult * (
-        chi_tx / (r * r * c * c) * (abs(sums.s_r2) / n + (sums.s_r / n) ** 2)
-        + chi_nr * phi_r ** 2
-    )
+    q22_floor = floor_mult * (chi_range * (abs(sums.s_r2) / n + mean_r_sq) + rx_22)
     return NormalizedFisher(
         q11=q11, q12=q12, q22=q22, q11_floor=q11_floor, q22_floor=q22_floor
     )
@@ -182,7 +191,7 @@ def hspw_fisher_from_sums(
         )
     chi = chi_factors(layout, geom, n_r)
     phi_theta, phi_r = _rx_sensitivities(geom, chi.chi_nr)
-    planar = chi.chi_m * math.cos(geom.theta) ** 2
+    planar = chi.chi_m * power(cos(geom.theta), 2)
     return _assemble(sums, chi.chi_nt, geom, chi.chi_nr, phi_theta, phi_r, planar_11=planar)
 
 
@@ -210,6 +219,45 @@ def sums_fisher(
     sums = _SUMS[model, method](layout, geom)
     assemble = sw_fisher_from_sums if model == "sw" else hspw_fisher_from_sums
     return assemble(sums, layout, geom, n_r)
+
+
+def sums_fishers(layout: ArrayLayout, geoms: list, n_r: int, *, model: str, method: str) -> list:
+    """``sums_fisher`` at each geometry, the closed forms evaluated as one grid.
+
+    Entry p is the block at geoms[p], or the engine error ``sums_fisher``
+    raises there.  The "riemann" sums of two or more points run once, on a
+    ``GeometryGrid``.  A point whose block comes out non-finite there (a
+    point that raises alone reads NaN), and every point of a grid that
+    raises as a whole, is evaluated again alone, so each point gets the
+    very block or error it gets alone.  The direct sums go point by point.
+    """
+    blocks = [None] * len(geoms)
+    if method == "riemann" and len(geoms) > 1:
+        try:
+            with np.errstate(all="ignore"):
+                grid = sums_fisher(layout, GeometryGrid.of(geoms), n_r, model=model, method=method)
+        except (CrbEngineError, ArithmeticError):
+            pass
+        else:
+            cols = (grid.q11, grid.q12, grid.q22, grid.q11_floor, grid.q22_floor)
+            # floats, where every point is the same scene
+            table = np.broadcast_to(np.reshape(cols, (5, -1)), (5, len(geoms)))
+            finite = np.isfinite(table).all(axis=0).tolist()
+            for p, entries in enumerate(zip(*table.tolist())):
+                if finite[p]:
+                    blocks[p] = NormalizedFisher(*entries)
+    return [
+        _sums_fisher_or_error(layout, geom, n_r, model, method) if block is None else block
+        for block, geom in zip(blocks, geoms)
+    ]
+
+
+def _sums_fisher_or_error(layout: ArrayLayout, geom: SceneGeometry, n_r: int, model: str,
+                          method: str):
+    try:
+        return sums_fisher(layout, geom, n_r, model=model, method=method)
+    except CrbEngineError as exc:
+        return exc.with_traceback(None)  # no cycle through this frame
 
 
 def sw_crb_closed(

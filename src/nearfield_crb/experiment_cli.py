@@ -31,7 +31,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import math
+import operator
+import re
 import sys
 from dataclasses import dataclass, fields, replace
 
@@ -39,7 +42,7 @@ import numpy as np
 
 from . import validation
 from .array_layouts import ArrayLayout, d0_from_exponent, make_dua, make_ua, make_wsms
-from .crb_analytic import hspw_crb_asymptotes, sums_fisher
+from .crb_analytic import hspw_crb_asymptotes, sums_fishers
 from .errors import CrbEngineError, DomainError, SingularFisher, error_code
 from .fisher_core import (
     NormalizedFisher,
@@ -196,12 +199,12 @@ def build_layout(cfg: ScenarioConfig) -> ArrayLayout:
     return make_dua(cfg.K, cfg.M, cfg.d, cfg.lam)
 
 
-def _evaluate(cfg: ScenarioConfig, layout: ArrayLayout, outcome):
-    """(crb_theta, crb_r, error_code) of one point's outcome.
+def _evaluate(cfg: ScenarioConfig, layout: ArrayLayout, beta_sq: float, outcome):
+    """(crb_theta, crb_r, error_code) of one point's outcome at gain beta_sq.
 
-    The outcome is the point's engine error, its direct-route block, or its
-    scene for the oracle or closed form.  The error is not raised: it can be
-    shared by many points, and each raise would lengthen its traceback.
+    The outcome is the point's engine error, its block, or its scene for
+    the oracle.  The error is not raised: it can be shared by many points,
+    and each raise would lengthen its traceback.
     """
     if isinstance(outcome, CrbEngineError):
         return None, None, error_code(outcome)
@@ -209,20 +212,16 @@ def _evaluate(cfg: ScenarioConfig, layout: ArrayLayout, outcome):
         if cfg.method == "oracle":
             res = full_fisher_oracle(layout, outcome, cfg.N_r, model=cfg.model)
             # unit-gain bounds times sigma^2 / |alpha|^2, exactly 1.0 at unit gain and noise
-            beta_sq = received_gain_sq(cfg.alpha, cfg.N_r, layout.n_elements)
             require_gain_and_noise(beta_sq, cfg.sigma_n_sq)
             scale = cfg.sigma_n_sq * (received_gain_sq(1.0, cfg.N_r, layout.n_elements) / beta_sq)
             return res.crb_theta * scale, res.crb_r * scale, ""
-        if cfg.method == "riemann":
-            outcome = sums_fisher(layout, outcome, cfg.N_r, model=cfg.model, method=cfg.method)
-        return _bounds(cfg, layout, outcome)
+        return _bounds(cfg, beta_sq, outcome)
     except CrbEngineError as exc:
         return None, None, error_code(exc)
 
 
-def _bounds(cfg: ScenarioConfig, layout: ArrayLayout, nf: NormalizedFisher):
+def _bounds(cfg: ScenarioConfig, beta_sq: float, nf: NormalizedFisher):
     """(crb_theta, crb_r, error_code) from one point's normalized Fisher block."""
-    beta_sq = received_gain_sq(cfg.alpha, cfg.N_r, layout.n_elements)
     try:
         res = crb(nf, beta_sq, cfg.sigma_n_sq)
     except SingularFisher as singular:
@@ -239,12 +238,12 @@ def _bounds(cfg: ScenarioConfig, layout: ArrayLayout, nf: NormalizedFisher):
     return res.crb_theta, res.crb_r, ""
 
 
+def _root(v):
+    return math.sqrt(v) if v is not None and v >= 0.0 else None
+
+
 def _row(cfg: ScenarioConfig, r: float, theta: float, crb_theta, crb_r, code: str) -> dict:
     """The CSV row of cfg's fields at (r, theta) with its bounds."""
-
-    def root(v):
-        return math.sqrt(v) if v is not None and v >= 0.0 else None
-
     return {
         "model": cfg.model,
         "layout": cfg.layout,
@@ -258,8 +257,8 @@ def _row(cfg: ScenarioConfig, r: float, theta: float, crb_theta, crb_r, code: st
         "r_m": r,
         "crb_theta_rad2": crb_theta,
         "crb_r_m2": crb_r,
-        "root_crb_theta_rad": root(crb_theta),
-        "root_crb_r_m": root(crb_r),
+        "root_crb_theta_rad": _root(crb_theta),
+        "root_crb_r_m": _root(crb_r),
         "error_code": code,
     }
 
@@ -270,8 +269,9 @@ def _rows_on_layout(cfg: ScenarioConfig, points, layout: ArrayLayout | None = No
     Every evaluated CLI row comes from here.  The layout does not depend on
     r or theta: it is built once from cfg unless the caller passes one.  The
     direct route gets every block from one ``bundle_fishers`` call, which
-    bounds its own batches.  Engine errors become error-code rows, each
-    point's own, a scene's error first, a layout's error on every point.
+    bounds its own batches, and the closed forms from one ``sums_fishers``
+    call.  Engine errors become error-code rows, each point's own, a
+    scene's error first, a layout's error on every point.
     """
     try:
         layout = build_layout(cfg) if layout is None else layout
@@ -283,11 +283,19 @@ def _rows_on_layout(cfg: ScenarioConfig, points, layout: ArrayLayout | None = No
             outcomes.append(SceneGeometry(r=r, theta=theta, big_r=cfg.R, vartheta=cfg.vartheta))
         except CrbEngineError as exc:
             outcomes.append(exc.with_traceback(None))  # no cycle through this frame
-    if cfg.method == "direct":
+    if cfg.method != "oracle":
         geoms = [g for g in outcomes if isinstance(g, SceneGeometry)]
-        blocks = iter(bundle_fishers(layout, geoms, cfg.N_r, model=cfg.model))
+        if cfg.method == "direct":
+            blocks = bundle_fishers(layout, geoms, cfg.N_r, model=cfg.model)
+        else:
+            blocks = sums_fishers(layout, geoms, cfg.N_r, model=cfg.model, method=cfg.method)
+        blocks = iter(blocks)
         outcomes = [next(blocks) if isinstance(g, SceneGeometry) else g for g in outcomes]
-    return [_row(cfg, *point, *_evaluate(cfg, layout, o)) for point, o in zip(points, outcomes)]
+    beta_sq = received_gain_sq(cfg.alpha, cfg.N_r, layout.n_elements)
+    return [
+        _row(cfg, *point, *_evaluate(cfg, layout, beta_sq, outcome))
+        for point, outcome in zip(points, outcomes)
+    ]
 
 
 def run_point(cfg: ScenarioConfig) -> dict:
@@ -434,11 +442,48 @@ def format_cell(value) -> str:
     return repr(float(value))
 
 
+# a field of these characters holds nothing that csv quotes
+_PLAIN_FIELD = re.compile(r"[\w.+-]*", re.ASCII)
+
+_CELLS_IN_ORDER = operator.itemgetter(*CSV_COLUMNS)
+
+
+def _quoted(text: str) -> str:
+    """text as ``csv.writer`` writes it in a line of several fields."""
+    if _PLAIN_FIELD.fullmatch(text):
+        return text
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[: -len(",\n")]
+
+
 def write_rows(rows, stream) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    """The header and one line per row, as ``csv.writer`` writes ``format_cell``'s texts.
+
+    Each distinct cell object is formatted once per call.  The memo keys on
+    identity, not value, so that 0.0 and -0.0 stay apart, and it holds each
+    object it formats, so that no id is reused within the call.
+    """
+    csv.writer(stream, lineterminator="\n").writerow(CSV_COLUMNS)
+    fields = {}
+    held = []
     for row in rows:
-        writer.writerow([format_cell(row[col]) for col in CSV_COLUMNS])
+        cells = []
+        for value in _CELLS_IN_ORDER(row):
+            key = id(value)
+            if key in fields:
+                cells.append(fields[key])
+                continue
+            if type(value) is float:
+                field = repr(value)  # format_cell's text
+            else:
+                field = format_cell(value)
+                if isinstance(value, str):
+                    field = _quoted(field)  # only text can hold what csv quotes
+            fields[key] = field
+            held.append(value)
+            cells.append(field)
+        stream.write(",".join(cells) + "\n")
 
 
 def _emit(rows, out_path: str | None) -> None:

@@ -11,6 +11,8 @@ Scene convention (all angles radians, all lengths metres):
 
 The receiver-side derivative expressions are only defined for a broadside
 receiver; operations that need them raise DomainError when vartheta != 0.
+They take one scene, or a ``GeometryGrid`` of many as arrays, which they
+treat element by element exactly as each scene alone (see ``pointwise``).
 """
 
 from __future__ import annotations
@@ -18,7 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DegenerateGeometry, DomainError, SingularFisher, SpanSingularity
+from .pointwise import checked, power, sin, some
 
 HALF_PI = math.pi / 2.0
 
@@ -41,6 +46,29 @@ class SceneGeometry:
             raise DomainError(f"target angle must satisfy |theta| < pi/2, got {self.theta!r}")
         if not math.isfinite(self.vartheta):
             raise DomainError(f"receiver offset angle must be finite, got {self.vartheta!r}")
+
+
+@dataclass(frozen=True)
+class GeometryGrid:
+    """Many scenes at once, for the functions that take one scene or a grid.
+
+    Each field is an array over the scenes, or one float where every scene
+    holds the same bits (the fixed axes of a sweep), so that what depends
+    on it alone is computed once.
+    """
+
+    r: float | np.ndarray
+    theta: float | np.ndarray
+    big_r: float | np.ndarray
+    vartheta: float | np.ndarray
+
+    @classmethod
+    def of(cls, geoms: list) -> "GeometryGrid":
+        """The grid of scenes that each passed ``SceneGeometry``'s checks."""
+        cols = np.array([(g.r, g.theta, g.big_r, g.vartheta) for g in geoms], dtype=float).T.copy()
+        bits = cols.view(np.int64)
+        shared = (bits == bits[:, :1]).all(axis=1).tolist()
+        return cls(*(float(col[0]) if same else col for col, same in zip(cols, shared)))
 
 
 @dataclass(frozen=True)
@@ -73,9 +101,9 @@ def _rx_range_sq(r: float, big_r: float, a: float) -> float:
     Triangle").  A distance whose square overflows leaves the arrival-angle
     terms no usable digits, so it raises SingularFisher.
     """
-    half_sin = math.sin(0.5 * a)
+    half_sin = sin(0.5 * a)
     try:
-        return (big_r - r) ** 2 + 4.0 * big_r * r * half_sin * half_sin
+        return power(big_r - r, 2) + 4.0 * big_r * r * half_sin * half_sin
     except OverflowError:
         raise SingularFisher("the receiver-to-target distance overflows") from None
 
@@ -102,7 +130,7 @@ def aoa_from_geometry(geom: SceneGeometry) -> float:
 
 
 def _require_broadside_rx(geom: SceneGeometry, what: str) -> None:
-    if geom.vartheta != 0.0:
+    if some(geom.vartheta != 0.0):
         raise DomainError(
             f"{what} is defined for a broadside receiver (vartheta = 0), "
             f"got vartheta = {geom.vartheta!r}"
@@ -112,12 +140,11 @@ def _require_broadside_rx(geom: SceneGeometry, what: str) -> None:
 def _triangle_den(geom: SceneGeometry) -> float:
     """rbar^3, the denominator of both arrival-angle derivatives."""
     den = _rx_range_sq(geom.r, geom.big_r, geom.theta)
-    if den <= 0.0:
-        raise DegenerateGeometry(
-            "receiver-to-target distance vanishes; arrival-angle derivatives undefined"
-        )
+    den = checked(den, den <= 0.0, lambda: DegenerateGeometry(
+        "receiver-to-target distance vanishes; arrival-angle derivatives undefined"
+    ))
     try:
-        return den ** 1.5
+        return power(den, 1.5)
     except OverflowError:
         raise SingularFisher("the cubed receiver-to-target distance overflows") from None
 
@@ -131,7 +158,7 @@ def _cosine_gaps(geom: SceneGeometry) -> tuple[float, float]:
     what the value's own conditioning loses.
     """
     r, big_r = geom.r, geom.big_r
-    half_sin_sq = math.sin(0.5 * geom.theta) ** 2
+    half_sin_sq = power(sin(0.5 * geom.theta), 2)
     gap = big_r - r
     return gap + 2.0 * r * half_sin_sq, gap - 2.0 * big_r * half_sin_sq
 
@@ -155,7 +182,7 @@ def dsinphi_dr(geom: SceneGeometry) -> float:
     _require_broadside_rx(geom, "dsinphi_dr")
     den = _triangle_den(geom)
     near, _ = _cosine_gaps(geom)
-    return geom.big_r * math.sin(geom.theta) * near / den
+    return geom.big_r * sin(geom.theta) * near / den
 
 
 def psi_from_x(x: float, theta: float) -> float:

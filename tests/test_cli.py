@@ -3,11 +3,15 @@
 import csv
 import gc
 import io
+import json
 import math
+import runpy
+import sys
 import tracemalloc
 import warnings
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -337,6 +341,28 @@ def test_format_cell():
     assert format_cell(np.int64(3)) == "3"
 
 
+def test_write_rows_is_csv_writer_over_format_cell():
+    # one object per float is formatted once a call; the memo keys on
+    # identity, so 0.0 and -0.0, equal but apart, must keep their own text
+    zero, negative_zero, shared = 0.0, -0.0, 0.1 + 0.2
+    rows = experiment_cli.fig7_rows()[-3:]  # the last I point and both asymptotes
+    for k, theta in enumerate([zero, negative_zero, zero, negative_zero, shared]):
+        row = dict(rows[0], theta_rad=theta, r_m=shared, K=np.int64(k), I=None if k % 2 else k)
+        row["error_code"] = "singular_fisher" if k == 3 else ""
+        rows.append(row)
+    rows.append(dict(rows[0], method='a "quoted", two-line\nname'))  # text that csv quotes
+    assert sum(row["theta_rad"] is negative_zero for row in rows) == 2
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for row in rows:
+        writer.writerow([format_cell(row[col]) for col in CSV_COLUMNS])
+    got = io.StringIO()
+    experiment_cli.write_rows(rows, got)
+    assert got.getvalue() == want.getvalue()
+    assert got.getvalue().count(",-0.0,") == 2
+
+
 def test_error_code_names():
     assert error_code(SingularFisher("x")) == "singular_fisher"
     assert error_code(SingularityNearPi2("x")) == "singularity_near_pi2"
@@ -508,15 +534,105 @@ def test_sweep_error_rows_match_point_by_point(method):
     assert [row["error_code"] for row in rows] == ["domain_error"] * 4
 
 
+# closed-form sweeps, one grid a call: (axis, start, stop, steps, fixed fields)
+CLOSED_SWEEPS = {
+    # through theta = 0.0 exactly, and past the 1.45 cap at both ends
+    "theta": ("theta", -1.5, 1.5, 61, {}),
+    # far enough out that the hybrid blocks turn singular near +-1.5
+    "theta_far": ("theta", -1.5, 1.5, 61, {"r": 20.0}),
+    # through the receiver's centre (r = R = 50) on broadside
+    "r_through_rx": ("r", 40.0, 60.0, 21, {"theta": 0.0}),
+    "r_far": ("r", 1e2, 1e9, 25, {}),
+    # every point beyond the cap
+    "r_beyond_cap": ("r", 1.0, 10.0, 5, {"theta": 1.5}),
+    # every point the same scene, so that the grid holds only floats
+    "r_same": ("r", 3.0, 3.0, 4, {}),
+}
+
+# error codes a sweep must reach, so that each case exercises its path
+CLOSED_SWEEP_CODES = {
+    ("theta", "sw", 1): {"", "singularity_near_pi2"},
+    ("theta", "sw", 12): {"", "singularity_near_pi2"},
+    ("theta_far", "hspw", 1): {"", "singular_fisher"},
+    ("r_through_rx", "sw", 12): {"", "degenerate_geometry"},
+    ("r_through_rx", "hspw", 12): {"", "degenerate_geometry"},
+    ("r_far", "sw", 1): {"", "singular_fisher"},
+    ("r_far", "hspw", 12): {"", "singular_fisher"},
+    ("r_beyond_cap", "sw", 12): {"singularity_near_pi2"},
+}
+
+
+@pytest.mark.parametrize("n_r", [1, 12])
+@pytest.mark.parametrize("model", ["sw", "hspw"])
+@pytest.mark.parametrize("sweep", sorted(CLOSED_SWEEPS))
+def test_closed_form_sweep_matches_point_by_point(sweep, model, n_r):
+    axis, start, stop, steps, fixed = CLOSED_SWEEPS[sweep]
+    cfg = replace(SWEEP_SCENE, model=model, method="riemann", N_r=n_r, **fixed)
+    grid = [float(v) for v in np.linspace(start, stop, steps)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rows = run_sweep(cfg, axis, start, stop, steps)
+        want = [run_point(replace(cfg, **{axis: v})) for v in grid]
+    assert_rows_equal(rows, want)
+    codes = {row["error_code"] for row in rows}
+    assert CLOSED_SWEEP_CODES.get((sweep, model, n_r), set()) <= codes
+    if axis == "theta":
+        broadside = rows[grid.index(0.0)]
+        assert broadside["error_code"] == ""
+
+
+# points that each raise alone at a different step of the closed forms
+CLOSED_FORM_POINTS = [
+    (2.0, 0.3),
+    (1e200, 0.3),   # the cell area underflows
+    (1e160, 0.0),   # r ** 2 overflows in the aperture factors
+    (1e-300, 0.0),  # r^2 cos^2(theta) underflows
+    (2.0, 1.5),     # beyond the sw cap
+    (2.0, 0.0),
+    (0.0, 0.3),     # an invalid scene
+    (1e-10, 0.3),   # the artanh argument rounds onto 1
+    (1e-10, -0.0),  # ... but broadside skips the artanh terms
+    (2.0, -1.2),
+]
+
+
+@pytest.mark.parametrize("big_r", [50.0, 1e120, 1e200])
+@pytest.mark.parametrize("n_r", [1, 4])
+@pytest.mark.parametrize("model", ["sw", "hspw"])
+def test_closed_form_points_keep_their_own_codes_in_one_grid(model, n_r, big_r):
+    # R = 1e200 and 1e120: the receiver distance overflows when squared or cubed
+    cfg = ScenarioConfig(model=model, method="riemann", N_r=n_r, R=big_r)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rows = experiment_cli._rows_on_layout(cfg, CLOSED_FORM_POINTS)
+        want = [run_point(replace(cfg, r=r, theta=theta)) for r, theta in CLOSED_FORM_POINTS]
+    assert_rows_equal(rows, want)
+    assert len({row["error_code"] for row in rows}) >= 2
+
+
+def test_closed_form_edge_where_nu1_vanishes_keeps_its_code_in_a_grid():
+    # an edge at x = 1 where sin(theta) rounds to 1 (see the crb test below)
+    cfg = ScenarioConfig(K=2, I=3, model="hspw", method="riemann")
+    points = [(0.20235990915000002, 1.5707963267948963), (0.2, 1.5707963267948963),
+              (0.20235990915000002, 1.2)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rows = experiment_cli._rows_on_layout(cfg, points)
+        want = [run_point(replace(cfg, r=r, theta=theta)) for r, theta in points]
+    assert_rows_equal(rows, want)
+    assert [row["error_code"] for row in rows] == ["domain_error", "domain_error", ""]
+
+
 def single_point_rows(cfg, points):
     """Direct-route rows point by point, through the single-point formulas."""
     layout = build_layout(cfg)
+    beta_sq = received_gain_sq(cfg.alpha, cfg.N_r, layout.n_elements)
     rows = []
     for r, theta in points:
         try:
             geom = SceneGeometry(r=r, theta=theta, big_r=cfg.R, vartheta=cfg.vartheta)
             nf = separate.bundle_fisher(layout, geom, cfg.N_r, model=cfg.model)
-            bounds = experiment_cli._bounds(cfg, layout, nf)
+            bounds = experiment_cli._bounds(cfg, beta_sq, nf)
             rows.append(experiment_cli._row(cfg, r, theta, *bounds))
         except CrbEngineError as exc:
             rows.append(experiment_cli._row(cfg, r, theta, None, None, error_code(exc)))
@@ -798,6 +914,24 @@ def test_rejected_input_exits_two(capsys, tmp_path, argv, config):
         main(argv)
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_figure_script_records_each_figure_in_a_summary(monkeypatch, capsys, tmp_path):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "reproduce_figures.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--outdir", str(tmp_path),
+                                      "--only", "fig7", "fig9", "--skip-validate"])
+    assert runpy.run_path(str(script))["main"]() == 0
+    capsys.readouterr()
+    summary = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
+    assert sorted(summary["figures"]) == ["fig7", "fig9"]
+    for name, record in summary["figures"].items():
+        rows = experiment_cli.FIGURES[name]()
+        codes = Counter(row["error_code"] for row in rows if row["error_code"])
+        assert (record["rows"], record["error_codes"]) == (len(rows), dict(codes))
+        assert record["seconds"] > 0.0
+        want = io.StringIO()
+        experiment_cli.write_rows(rows, want)
+        assert (tmp_path / f"{name}.csv").read_text(encoding="utf-8") == want.getvalue()
 
 
 def test_unwritable_out_path_exits_one(capsys, tmp_path):

@@ -7,6 +7,7 @@ in test_acceptance.py; the midpoint error's decay over K is ``validate``'s
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -386,6 +387,49 @@ def test_antiderivatives_are_bit_identical_to_separate_formulas(x, theta):
         assert outcome(getattr(closed_form, name), x, theta) == outcome(
             getattr(separate, name), x, theta
         ), name
+
+
+# where each separate formula sits in the one-pass tuples
+FIRST_LEVEL_ENTRIES = {
+    "f_x2_over_nu1": 0, "f_x_over_sqrt_nu1": 1, "f_one_over_sqrt_nu1": 2, "f_x_over_nu1": 3,
+}
+SECOND_LEVEL_ENTRIES = {
+    "g_theta2": 0, "g_theta": 1, "g_thetar": 2, "g_r": 3, "f_log_shift": 3,
+    "f_log_nu1": 4, "f_atan_nu2": 5, "f_sqrt_nu1": 6, "f_artanh_shift": 7,
+}
+
+
+def assert_entries_match_separate(xs, thetas, x_arr, angle):
+    """Each array entry is the separate formula's float, or NaN where it raises."""
+    for level, entries in ((closed_form._first_level, FIRST_LEVEL_ENTRIES),
+                           (closed_form._second_level, SECOND_LEVEL_ENTRIES)):
+        out = level(x_arr, angle, True)
+        for name, i in entries.items():
+            assert out[i].shape == x_arr.shape
+            for x, theta, got in zip(xs, thetas, out[i].tolist()):
+                try:
+                    want = getattr(separate, name)(x, theta)
+                except DomainError:
+                    assert math.isnan(got), (name, x, theta)
+                else:
+                    assert repr(got) == repr(want), (name, x, theta)
+
+
+@given(xs=st.lists(edge_offsets, min_size=1, max_size=8), theta=closed_angles)
+@example(xs=[1e9, -1e9, 2.5, -2.5, 0.0], theta=0.3)  # artanh rounds onto +-1 at two edges
+@example(xs=[-2.5, 0.5], theta=0.0)
+@settings(deadline=None)
+def test_one_pass_on_an_array_of_edges_matches_separate_formulas(xs, theta):
+    assert_entries_match_separate(xs, [theta] * len(xs), np.array(xs), closed_form._angle(theta))
+
+
+@given(points=st.lists(st.tuples(edge_offsets, closed_angles), min_size=1, max_size=8))
+@example(points=[(1e9, 0.3), (1e9, 0.0), (2.5, -1.2), (-2.5, 1.45)])
+@settings(deadline=None)
+def test_one_pass_on_a_grid_of_edges_and_angles_matches_separate_formulas(points):
+    xs, thetas = [x for x, _ in points], [t for _, t in points]
+    angle = closed_form._angle(np.array(thetas))
+    assert_entries_match_separate(xs, thetas, np.array(xs), angle)
 
 
 @given(
