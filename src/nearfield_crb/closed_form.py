@@ -324,17 +324,17 @@ def riemann_bounds(layout: ArrayLayout, r: float) -> RiemannBounds:
     )
 
 
-def _cell_weight(b: RiemannBounds, weight: float) -> float:
-    """weight / (delta_d delta_big_d), the double midpoint sum's prefactor.
+def _cell(size: float) -> float:
+    """A midpoint sum's cell size over r, once it is known not to be zero.
 
-    The cell area underflows to zero at a range beyond ~1e154 cell sizes,
-    where the sums carry no usable information.
+    The double sum divides by its cell area delta_d delta_big_d, the single
+    sum by delta_big_d.  Either underflows to zero only at a range that
+    dwarfs the cells (~1e154 cell sizes for the area), where the sums carry
+    no usable information.
     """
-    area = b.delta_d * b.delta_big_d
-    area = checked(area, area == 0.0, lambda: SingularFisher(
-        "the closed form's cell area underflows against the range"
+    return checked(size, size == 0.0, lambda: SingularFisher(
+        "the closed form's cell size underflows against the range"
     ))
-    return weight / area
 
 
 def _check_riemann_theta(theta: float) -> float:
@@ -351,7 +351,7 @@ def sw_sums_riemann(layout: ArrayLayout, geom: SceneGeometry) -> SumFormulas:
     """Closed-form element-level sums via the double midpoint approximation."""
     theta = _check_riemann_theta(geom.theta)
     b = riemann_bounds(layout, geom.r)
-    pref = _cell_weight(b, 1.0)
+    pref = 1.0 / _cell(b.delta_d * b.delta_big_d)
     angle = _angle(theta)
     s, c = angle[0], angle[1]
     # The odd-symmetry sums vanish identically on broadside; evaluating
@@ -383,13 +383,14 @@ def sw_sums_riemann(layout: ArrayLayout, geom: SceneGeometry) -> SumFormulas:
 def hspw_sums_closed(layout: ArrayLayout, geom: SceneGeometry) -> SumFormulas:
     """Closed-form subarray-centre sums via the single midpoint approximation."""
     b = riemann_bounds(layout, geom.r)
+    cell = _cell(b.delta_big_d)
     a = 0.5 * layout.K * b.delta_big_d
     angle = _angle(geom.theta)
     s, c = angle[0], angle[1]
     hi, lo = _first_level(a, angle, True), _first_level(-a, angle, True)
 
     def edge_diff(i):
-        return (hi[i] - lo[i]) / b.delta_big_d
+        return (hi[i] - lo[i]) / cell
 
     s_theta2 = edge_diff(0)
     s_theta = edge_diff(1)
@@ -410,7 +411,7 @@ def sw_theta0_sums(layout: ArrayLayout, r: float) -> SumFormulas:
     difference of the two positive partition edges and zeroes the odd sums.
     """
     b = riemann_bounds(layout, r)
-    pref = _cell_weight(b, 2.0)
+    pref = 2.0 / _cell(b.delta_d * b.delta_big_d)
     angle = _angle(0.0)
     g4 = _second_level(b.x4, angle, odd=False)
     g3 = _second_level(b.x3, angle, odd=False)

@@ -58,7 +58,7 @@ from .fisher_core import (
     received_gain_sq,
     require_receiver_size,
 )
-from .geometry import GeometryGrid, SceneGeometry, dsinphi_dr, dsinphi_dtheta
+from .geometry import GeometryGrid, SceneGeometry, arrival_triangle
 from .pointwise import checked, cos, power
 
 
@@ -113,13 +113,14 @@ def chi_factors(layout: ArrayLayout, geom: SceneGeometry, n_r: int) -> ChiFactor
     return ChiFactors(chi_nt=curvature, chi_nr=chi_nr, chi_m=chi_m)
 
 
-def _rx_sensitivities(geom: SceneGeometry, chi_nr: float):
-    # a single receive element (zero receive factor) has no aperture, so its
-    # placement never enters: skip the arrival-angle derivatives, as
-    # fisher_core.rx_bundle does, rather than constrain big_r and vartheta
-    if chi_nr == 0.0:
+def _rx_sensitivities(geom: SceneGeometry, n_r: int):
+    # a single receive element has no aperture, so its placement never
+    # enters: skip the arrival-angle derivatives, as fisher_core.rx_bundle
+    # does, rather than constrain big_r and vartheta
+    if n_r == 1:
         return 0.0, 0.0
-    return dsinphi_dtheta(geom), dsinphi_dr(geom)
+    _, phi_theta, phi_r = arrival_triangle(geom)
+    return phi_theta, phi_r
 
 
 def _assemble(
@@ -174,7 +175,7 @@ def sw_fisher_from_sums(
             f"sums cover {sums.n} terms but the layout has {layout.n_elements} elements"
         )
     chi = chi_factors(layout, geom, n_r)
-    phi_theta, phi_r = _rx_sensitivities(geom, chi.chi_nr)
+    phi_theta, phi_r = _rx_sensitivities(geom, n_r)
     return _assemble(sums, chi.chi_nt, geom, chi.chi_nr, phi_theta, phi_r)
 
 
@@ -190,7 +191,7 @@ def hspw_fisher_from_sums(
             f"sums cover {sums.n} terms but the layout has {layout.K} subarrays"
         )
     chi = chi_factors(layout, geom, n_r)
-    phi_theta, phi_r = _rx_sensitivities(geom, chi.chi_nr)
+    phi_theta, phi_r = _rx_sensitivities(geom, n_r)
     planar = chi.chi_m * power(cos(geom.theta), 2)
     return _assemble(sums, chi.chi_nt, geom, chi.chi_nr, phi_theta, phi_r, planar_11=planar)
 
@@ -221,21 +222,21 @@ def sums_fisher(
     return assemble(sums, layout, geom, n_r)
 
 
-def sums_fishers(layout: ArrayLayout, geoms: list, n_r: int, *, model: str, method: str) -> list:
-    """``sums_fisher`` at each geometry, the closed forms evaluated as one grid.
+def sums_fishers(layout: ArrayLayout, geoms: list, n_r: int, *, model: str) -> list:
+    """The closed-form ``sums_fisher`` at each geometry, evaluated as one grid.
 
-    Entry p is the block at geoms[p], or the engine error ``sums_fisher``
-    raises there.  The "riemann" sums of two or more points run once, on a
+    Entry p is the "riemann" block at geoms[p], or the engine error
+    ``sums_fisher`` raises there.  Two or more points run once, on a
     ``GeometryGrid``.  A point whose block comes out non-finite there (a
     point that raises alone reads NaN), and every point of a grid that
     raises as a whole, is evaluated again alone, so each point gets the
-    very block or error it gets alone.  The direct sums go point by point.
+    very block or error it gets alone.
     """
     blocks = [None] * len(geoms)
-    if method == "riemann" and len(geoms) > 1:
+    if len(geoms) > 1:
         try:
             with np.errstate(all="ignore"):
-                grid = sums_fisher(layout, GeometryGrid.of(geoms), n_r, model=model, method=method)
+                grid = sums_fisher(layout, GeometryGrid.of(geoms), n_r, model=model, method="riemann")
         except (CrbEngineError, ArithmeticError):
             pass
         else:
@@ -247,15 +248,14 @@ def sums_fishers(layout: ArrayLayout, geoms: list, n_r: int, *, model: str, meth
                 if finite[p]:
                     blocks[p] = NormalizedFisher(*entries)
     return [
-        _sums_fisher_or_error(layout, geom, n_r, model, method) if block is None else block
+        _sums_fisher_or_error(layout, geom, n_r, model) if block is None else block
         for block, geom in zip(blocks, geoms)
     ]
 
 
-def _sums_fisher_or_error(layout: ArrayLayout, geom: SceneGeometry, n_r: int, model: str,
-                          method: str):
+def _sums_fisher_or_error(layout: ArrayLayout, geom: SceneGeometry, n_r: int, model: str):
     try:
-        return sums_fisher(layout, geom, n_r, model=model, method=method)
+        return sums_fisher(layout, geom, n_r, model=model, method="riemann")
     except CrbEngineError as exc:
         return exc.with_traceback(None)  # no cycle through this frame
 
@@ -314,7 +314,7 @@ def hspw_crb_asymptotes(layout: ArrayLayout, geom: SceneGeometry, n_r: int) -> T
         raise DomainError(f"broadside form needs theta = 0, got {geom.theta!r}")
     require_widely_spaced(layout, "the hybrid model")
     chi = chi_factors(layout, geom, n_r)
-    phi_theta, _ = _rx_sensitivities(geom, chi.chi_nr)
+    phi_theta, _ = _rx_sensitivities(geom, n_r)
     rx_term = chi.chi_nr * phi_theta ** 2
     pref = 1.0 / (2.0 * received_gain_sq(1.0, n_r, layout.n_elements))
     q11_floor = chi.chi_nt + chi.chi_m + rx_term  # span -> pi: s_theta2/K -> 1

@@ -288,7 +288,7 @@ def _rows_on_layout(cfg: ScenarioConfig, points, layout: ArrayLayout | None = No
         if cfg.method == "direct":
             blocks = bundle_fishers(layout, geoms, cfg.N_r, model=cfg.model)
         else:
-            blocks = sums_fishers(layout, geoms, cfg.N_r, model=cfg.model, method=cfg.method)
+            blocks = sums_fishers(layout, geoms, cfg.N_r, model=cfg.model)
         blocks = iter(blocks)
         outcomes = [next(blocks) if isinstance(g, SceneGeometry) else g for g in outcomes]
     beta_sq = received_gain_sq(cfg.alpha, cfg.N_r, layout.n_elements)

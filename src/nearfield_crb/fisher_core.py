@@ -52,7 +52,7 @@ from .array_layouts import (
     subarray_centers,
 )
 from .errors import CrbEngineError, DomainError, ElementCoincidence, IllConditioned, SingularFisher
-from .geometry import SceneGeometry, dsinphi_dr, dsinphi_dtheta, rx_range
+from .geometry import SceneGeometry, arrival_triangle
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,6 @@ class SteeringBundle:
     value: np.ndarray
     d_theta: np.ndarray
     d_r: np.ndarray
-    model: str
 
 
 @dataclass(frozen=True)
@@ -196,11 +195,11 @@ def _spherical_trio(n: np.ndarray, r, sin, cos, k0: float):
     return value, d_theta, d_r, errors
 
 
-def _bundles(value, d_theta, d_r, errors, model: str) -> list:
+def _bundles(value, d_theta, d_r, errors) -> list:
     """One bundle per row of the stacked vectors, or that row's error."""
     value, d_theta, d_r = (v.reshape(len(errors), -1) for v in (value, d_theta, d_r))
     return [
-        err if err is not None else SteeringBundle(value[p], d_theta[p], d_r[p], model)
+        err if err is not None else SteeringBundle(value[p], d_theta[p], d_r[p])
         for p, err in enumerate(errors)
     ]
 
@@ -209,7 +208,7 @@ def _sw_tx_bundles(layout: ArrayLayout, geoms: list) -> list:
     n = element_positions(layout)
     k0 = 2.0 * math.pi / layout.lam
     r, sin, cos = _targets(geoms)
-    return _bundles(*_spherical_trio(n, r, sin, cos, k0), "sw")
+    return _bundles(*_spherical_trio(n, r, sin, cos, k0))
 
 
 def _pw_tx_bundles(layout: ArrayLayout, geoms: list) -> list:
@@ -219,7 +218,7 @@ def _pw_tx_bundles(layout: ArrayLayout, geoms: list) -> list:
     value = np.exp(1j * k0 * n * sin) / math.sqrt(n.size)
     d_theta = value * (1j * k0 * n * cos)
     d_r = np.zeros_like(value)
-    return _bundles(value, d_theta, d_r, [None] * len(geoms), "pw")
+    return _bundles(value, d_theta, d_r, [None] * len(geoms))
 
 
 def _hspw_tx_bundles(layout: ArrayLayout, geoms: list) -> list:
@@ -236,7 +235,7 @@ def _hspw_tx_bundles(layout: ArrayLayout, geoms: list) -> list:
     value = _kron(w, a)
     d_theta = _kron(w_theta, a) + _kron(w, a_theta)
     d_r = _kron(w_r, a)
-    return _bundles(value, d_theta, d_r, errors, "hspw")
+    return _bundles(value, d_theta, d_r, errors)
 
 
 _TX_BATCHES = {"sw": _sw_tx_bundles, "hspw": _hspw_tx_bundles, "pw": _pw_tx_bundles}
@@ -300,9 +299,9 @@ def rx_bundle(layout: ArrayLayout, n_r: int, geom: SceneGeometry) -> SteeringBun
         # one element has no aperture, so the receiver's placement (tilt,
         # or a target at its centre) never enters the bound
         zero = np.zeros(1, dtype=complex)
-        return SteeringBundle(np.ones(1, dtype=complex), zero, zero.copy(), "rx")
-    sinphi_theta, sinphi_r = dsinphi_dtheta(geom), dsinphi_dr(geom)
-    sinphi = geom.r * math.sin(geom.theta) / rx_range(geom)
+        return SteeringBundle(np.ones(1, dtype=complex), zero, zero.copy())
+    rho_sq, sinphi_theta, sinphi_r = arrival_triangle(geom)
+    sinphi = geom.r * math.sin(geom.theta) / math.sqrt(rho_sq)
 
     offsets = centred_grid(n_r, layout.d)
     k0 = 2.0 * math.pi / layout.lam
@@ -310,7 +309,7 @@ def rx_bundle(layout: ArrayLayout, n_r: int, geom: SceneGeometry) -> SteeringBun
     phase_rate = 1j * k0 * offsets
     d_theta = value * phase_rate * sinphi_theta
     d_r = value * phase_rate * sinphi_r
-    return SteeringBundle(value, d_theta, d_r, "rx")
+    return SteeringBundle(value, d_theta, d_r)
 
 
 def composite_bundle(tx: SteeringBundle, rx: SteeringBundle) -> SteeringBundle:
@@ -318,7 +317,7 @@ def composite_bundle(tx: SteeringBundle, rx: SteeringBundle) -> SteeringBundle:
     value = _kron(np.conj(tx.value), rx.value)
     d_theta = _kron(np.conj(tx.d_theta), rx.value) + _kron(np.conj(tx.value), rx.d_theta)
     d_r = _kron(np.conj(tx.d_r), rx.value) + _kron(np.conj(tx.value), rx.d_r)
-    return SteeringBundle(value, d_theta, d_r, "composite")
+    return SteeringBundle(value, d_theta, d_r)
 
 
 def amfs(tx: SteeringBundle, rx: SteeringBundle) -> AmfSet:

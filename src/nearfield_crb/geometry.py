@@ -91,8 +91,8 @@ class AngularSpans:
         return psi_from_x(x, self.theta)
 
 
-def _rx_range_sq(r: float, big_r: float, a: float) -> float:
-    """Squared receiver-to-target distance for a vertex angle ``a`` at the TX.
+def _rx_range_sq(r: float, big_r: float, half_sin: float) -> float:
+    """Squared receiver-to-target distance; half_sin is sin(a/2) of the TX vertex angle a.
 
     The law of cosines R^2 + r^2 - 2 R r cos(a) cancels catastrophically when
     the target is near the receiver.  The equivalent
@@ -101,7 +101,6 @@ def _rx_range_sq(r: float, big_r: float, a: float) -> float:
     Triangle").  A distance whose square overflows leaves the arrival-angle
     terms no usable digits, so it raises SingularFisher.
     """
-    half_sin = sin(0.5 * a)
     try:
         return power(big_r - r, 2) + 4.0 * big_r * r * half_sin * half_sin
     except OverflowError:
@@ -110,7 +109,8 @@ def _rx_range_sq(r: float, big_r: float, a: float) -> float:
 
 def rx_range(geom: SceneGeometry) -> float:
     """Receiver-to-target distance on the TX/target/RX triangle."""
-    return math.sqrt(_rx_range_sq(geom.r, geom.big_r, geom.theta + geom.vartheta))
+    half_sin = sin(0.5 * (geom.theta + geom.vartheta))
+    return math.sqrt(_rx_range_sq(geom.r, geom.big_r, half_sin))
 
 
 def aoa_from_geometry(geom: SceneGeometry) -> float:
@@ -129,60 +129,49 @@ def aoa_from_geometry(geom: SceneGeometry) -> float:
     return math.asin(s) + geom.vartheta
 
 
-def _require_broadside_rx(geom: SceneGeometry, what: str) -> None:
+def arrival_triangle(geom: SceneGeometry) -> tuple:
+    """rbar^2, d sin(phi) / d theta and d sin(phi) / d r, from one pass over the triangle.
+
+    For a broadside receiver the arrival-angle rates are
+
+        d sin(phi) / d theta = r (R - r cos theta)(R cos theta - r) / rbar^3
+        d sin(phi) / d r     = R sin(theta) (R - r cos theta) / rbar^3
+
+    The cosine gaps are written as (R - r) + 2 r sin^2(theta/2) and
+    (R - r) - 2 R sin^2(theta/2), so that a target close to the receiver
+    keeps its digits; the one subtraction left is between accurately
+    computed terms and loses only what the value's own conditioning loses.
+    A target at the receiver centre raises DegenerateGeometry.
+    """
     if some(geom.vartheta != 0.0):
         raise DomainError(
-            f"{what} is defined for a broadside receiver (vartheta = 0), "
-            f"got vartheta = {geom.vartheta!r}"
+            "the arrival-angle derivatives are defined for a broadside receiver "
+            f"(vartheta = 0), got vartheta = {geom.vartheta!r}"
         )
-
-
-def _triangle_den(geom: SceneGeometry) -> float:
-    """rbar^3, the denominator of both arrival-angle derivatives."""
-    den = _rx_range_sq(geom.r, geom.big_r, geom.theta)
-    den = checked(den, den <= 0.0, lambda: DegenerateGeometry(
+    r, big_r = geom.r, geom.big_r
+    half_sin = sin(0.5 * geom.theta)
+    rho_sq = _rx_range_sq(r, big_r, half_sin)
+    rho_sq = checked(rho_sq, rho_sq <= 0.0, lambda: DegenerateGeometry(
         "receiver-to-target distance vanishes; arrival-angle derivatives undefined"
     ))
     try:
-        return power(den, 1.5)
+        den = power(rho_sq, 1.5)
     except OverflowError:
         raise SingularFisher("the cubed receiver-to-target distance overflows") from None
-
-
-def _cosine_gaps(geom: SceneGeometry) -> tuple[float, float]:
-    """R - r cos(theta) and R cos(theta) - r, free of the cos(theta) ~ 1 loss.
-
-    Written as (R - r) + 2 r sin^2(theta/2) and (R - r) - 2 R sin^2(theta/2)
-    so that a target close to the receiver keeps its digits; the one
-    subtraction left is between accurately computed terms and loses only
-    what the value's own conditioning loses.
-    """
-    r, big_r = geom.r, geom.big_r
-    half_sin_sq = power(sin(0.5 * geom.theta), 2)
+    half_sin_sq = power(half_sin, 2)
     gap = big_r - r
-    return gap + 2.0 * r * half_sin_sq, gap - 2.0 * big_r * half_sin_sq
+    near, far = gap + 2.0 * r * half_sin_sq, gap - 2.0 * big_r * half_sin_sq
+    return rho_sq, r * near * far / den, big_r * sin(geom.theta) * near / den
 
 
 def dsinphi_dtheta(geom: SceneGeometry) -> float:
-    """d sin(phi) / d theta at fixed r (broadside receiver).
-
-    Equals r (R - r cos theta)(R cos theta - r) / rbar^3.
-    """
-    _require_broadside_rx(geom, "dsinphi_dtheta")
-    den = _triangle_den(geom)
-    near, far = _cosine_gaps(geom)
-    return geom.r * near * far / den
+    """d sin(phi) / d theta at fixed r (broadside receiver); see ``arrival_triangle``."""
+    return arrival_triangle(geom)[1]
 
 
 def dsinphi_dr(geom: SceneGeometry) -> float:
-    """d sin(phi) / d r at fixed theta (broadside receiver).
-
-    Equals R sin(theta) (R - r cos theta) / rbar^3.
-    """
-    _require_broadside_rx(geom, "dsinphi_dr")
-    den = _triangle_den(geom)
-    near, _ = _cosine_gaps(geom)
-    return geom.big_r * sin(geom.theta) * near / den
+    """d sin(phi) / d r at fixed theta (broadside receiver); see ``arrival_triangle``."""
+    return arrival_triangle(geom)[2]
 
 
 def psi_from_x(x: float, theta: float) -> float:

@@ -57,7 +57,7 @@ def sw_tx_bundle(layout: ArrayLayout, geom: SceneGeometry) -> SteeringBundle:
     n = element_positions(layout)
     k0 = 2.0 * math.pi / layout.lam
     value, d_theta, d_r = _spherical_trio(n, geom.r, geom.theta, k0)
-    return SteeringBundle(value, d_theta, d_r, "sw")
+    return SteeringBundle(value, d_theta, d_r)
 
 
 def pw_tx_bundle(layout: ArrayLayout, geom: SceneGeometry) -> SteeringBundle:
@@ -67,7 +67,7 @@ def pw_tx_bundle(layout: ArrayLayout, geom: SceneGeometry) -> SteeringBundle:
     value = np.exp(1j * k0 * n * math.sin(geom.theta)) / math.sqrt(n.size)
     d_theta = value * (1j * k0 * n * math.cos(geom.theta))
     d_r = np.zeros_like(value)
-    return SteeringBundle(value, d_theta, d_r, "pw")
+    return SteeringBundle(value, d_theta, d_r)
 
 
 def hspw_tx_bundle(layout: ArrayLayout, geom: SceneGeometry) -> SteeringBundle:
@@ -88,7 +88,7 @@ def hspw_tx_bundle(layout: ArrayLayout, geom: SceneGeometry) -> SteeringBundle:
     value = _kron(w, a)
     d_theta = _kron(w_theta, a) + _kron(w, a_theta)
     d_r = _kron(w_r, a)
-    return SteeringBundle(value, d_theta, d_r, "hspw")
+    return SteeringBundle(value, d_theta, d_r)
 
 
 TX_BUNDLES = {"sw": sw_tx_bundle, "hspw": hspw_tx_bundle, "pw": pw_tx_bundle}

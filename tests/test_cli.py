@@ -754,6 +754,21 @@ def test_sweep_to_the_top_of_the_float_range_never_aborts(capsys, method):
     assert codes == ["", "singular_fisher", "singular_fisher"]
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_far_hybrid_sweep_where_the_pitch_underflows_is_singular(capsys, method):
+    # D / r underflows to zero on every point, which the hybrid closed form
+    # divides by
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out = run_cli(capsys, ["sweep", "--model", "hspw", "--method", method,
+                                     "--frequency_hz", "1e100", "--axis", "r",
+                                     "--start", "1e249", "--stop", "1e250", "--steps", "3"])
+    assert code == 0
+    rows = parse_rows(out)
+    assert [row["error_code"] for row in rows] == ["singular_fisher"] * 3
+    assert all(row["crb_theta_rad2"] == row["crb_r_m2"] == "" for row in rows)
+
+
 @pytest.mark.parametrize("r, theta", [(0.0, 0.3), (1.0, math.pi / 2.0), (1.0, 2.0)])
 @pytest.mark.parametrize("model", ["sw", "hspw", "pw"])
 def test_point_with_an_invalid_scene_is_a_domain_error_row(model, r, theta):
@@ -844,6 +859,8 @@ AGREEMENT_SCENES = [
     ["--model", "hspw", "--frequency_hz", "1e-150", "--r", "2e157", "--R", "1e158", "--N_r", "4"],
     ["--frequency_hz", "3e-298"],
     ["--frequency_hz", "3e-298", "--layout", "ua"],  # the mirror's spacing overflows
+    # the subarray pitch over r underflows to zero in the hybrid closed form
+    ["--model", "hspw", "--frequency_hz", "1e100", "--r", "1e250"],
 ]
 
 

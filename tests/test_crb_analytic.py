@@ -19,6 +19,7 @@ from nearfield_crb import (
     hspw_crb_closed,
     hspw_crb_theta0,
     make_dua,
+    make_wsms,
     make_ua,
     ratio_check,
     received_gain_sq,
@@ -241,6 +242,20 @@ def test_sums_route_rejects_a_receiver_size_as_the_bundle_route_does(n_r):
         lambda: hspw_crb_closed(lay, geom, n_r),
     ):
         with pytest.raises(DomainError, match="receiver size"):
+            route()
+
+
+def test_receiver_of_several_elements_enters_even_where_its_factor_underflows():
+    # d^2 underflows, so chi_nr is 0.0 at N_r = 4; the receiver still has
+    # four elements, and both routes reject its tilt
+    lay = make_wsms(3, 4, 1e-170, 1e-170, 1.0)
+    geom = SceneGeometry(r=4.0, theta=0.35, big_r=50.0, vartheta=0.2)
+    assert chi_factors(lay, geom, 4).chi_nr == 0.0
+    for route in (
+        lambda: bundle_fisher(lay, geom, 4, model="sw"),
+        lambda: sums_fisher(lay, geom, 4, model="sw", method="direct"),
+    ):
+        with pytest.raises(DomainError, match="broadside receiver"):
             route()
 
 

@@ -214,7 +214,6 @@ def test_batched_bundles_and_amfs_are_bit_identical_to_single_points(model, shap
         single = TX_BUNDLES[model](lay, geom)
         for g, s, w in zip(bits(tx), bits(single), bits(want)):
             assert np.array_equal(g, w) and np.array_equal(s, w)
-        assert tx.model == single.model == want.model
         for n_r in (1, 4, 35):
             rx = rx_bundle(lay, n_r, geom)
             got, ref = amfs(tx, rx), separate.amfs(want, rx)

@@ -26,7 +26,11 @@ from nearfield_crb import (
     dsinphi_dtheta,
     psi_from_x,
     rx_range,
+    sums_fisher,
 )
+from nearfield_crb import geometry
+from nearfield_crb.fisher_core import rx_bundle
+from nearfield_crb.geometry import GeometryGrid
 
 
 def test_rx_range_matches_frozen_coordinates():
@@ -128,6 +132,41 @@ def test_arrival_derivatives_reject_offset_receiver():
         dsinphi_dtheta(geom)
     with pytest.raises(DomainError):
         dsinphi_dr(geom)
+
+
+def count_triangles(monkeypatch) -> list:
+    """The arguments of each receiver-distance evaluation from now on."""
+    calls = []
+    real = geometry._rx_range_sq
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(geometry, "_rx_range_sq", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n_r, triangles", [(1, 0), (4, 1), (35, 1)])
+def test_receive_bundle_evaluates_the_triangle_once(monkeypatch, n_r, triangles):
+    geom = SceneGeometry(r=5.0, theta=0.2, big_r=50.0)
+    calls = count_triangles(monkeypatch)
+    rx_bundle(std_wsms(3, 4, 2), n_r, geom)
+    assert len(calls) == triangles
+
+
+@pytest.mark.parametrize("model", ["sw", "hspw"])
+@pytest.mark.parametrize("axis", ["r", "theta"])
+def test_closed_form_grid_evaluates_the_triangle_once(monkeypatch, model, axis):
+    lay = std_wsms(3, 4, 2)
+    values = (-0.4, 0.0, 0.3) if axis == "theta" else (2.0, 5.0, 9.0)
+    geoms = [SceneGeometry(**{"r": 5.0, "theta": 0.2, axis: v, "big_r": 50.0}) for v in values]
+    calls = count_triangles(monkeypatch)
+    grid = sums_fisher(lay, GeometryGrid.of(geoms), 4, model=model, method="riemann")
+    assert len(calls) == 1
+    assert np.isfinite(grid.q11).all() and np.isfinite(grid.q22).all()
+    sums_fisher(lay, geoms[0], 4, model=model, method="riemann")
+    assert len(calls) == 2
 
 
 def test_scene_validation():
