@@ -47,7 +47,7 @@ from .closed_form import (
     sw_sums_riemann,
     sw_theta0_sums,
 )
-from .errors import CrbEngineError, DomainError, SingularFisher
+from .errors import CrbEngineError, DomainError, SingularFisher, outcome
 from .fisher_core import (
     _EPS,
     NOISE_FLOOR_MULT,
@@ -105,8 +105,9 @@ def chi_factors(layout: ArrayLayout, geom: SceneGeometry, n_r: int) -> ChiFactor
     c = cos(geom.theta)
     try:
         curvature = 4.0 * math.pi ** 2 * power(geom.r, 2) * c * c / lam ** 2
-        chi_nr = math.pi ** 2 * layout.d ** 2 * (n_r ** 2 - 1) / (3.0 * lam ** 2)
-        chi_m = math.pi ** 2 * layout.d ** 2 * (layout.M ** 2 - 1) / (3.0 * lam ** 2)
+        chi_nr, chi_m = (
+            math.pi ** 2 * layout.d ** 2 * (n ** 2 - 1) / (3.0 * lam ** 2) for n in (n_r, layout.M)
+        )
     except (OverflowError, ZeroDivisionError):
         # a range beyond ~1e154 m, or a wavelength whose square underflows
         raise SingularFisher("the aperture factors overflow") from None
@@ -248,16 +249,9 @@ def sums_fishers(layout: ArrayLayout, geoms: list, n_r: int, *, model: str) -> l
                 if finite[p]:
                     blocks[p] = NormalizedFisher(*entries)
     return [
-        _sums_fisher_or_error(layout, geom, n_r, model) if block is None else block
-        for block, geom in zip(blocks, geoms)
+        outcome(sums_fisher, layout, g, n_r, model=model, method="riemann") if b is None else b
+        for b, g in zip(blocks, geoms)
     ]
-
-
-def _sums_fisher_or_error(layout: ArrayLayout, geom: SceneGeometry, n_r: int, model: str):
-    try:
-        return sums_fisher(layout, geom, n_r, model=model, method="riemann")
-    except CrbEngineError as exc:
-        return exc.with_traceback(None)  # no cycle through this frame
 
 
 def sw_crb_closed(
@@ -274,6 +268,11 @@ def hspw_crb_closed(
     return _unit_crb(sums_fisher(layout, geom, n_r, model="hspw", method=method), layout, n_r)
 
 
+def _require_broadside(geom: SceneGeometry) -> None:
+    if geom.theta != 0.0:
+        raise DomainError(f"broadside form needs theta = 0, got {geom.theta!r}")
+
+
 def sw_crb_theta0(layout: ArrayLayout, geom: SceneGeometry, n_r: int) -> CrbResult:
     """Broadside spherical-wave bounds from the two-point closed form.
 
@@ -281,8 +280,7 @@ def sw_crb_theta0(layout: ArrayLayout, geom: SceneGeometry, n_r: int) -> CrbResu
     decouple; the range bound carries no receive-side contribution at all
     (it is independent of the receiver size at fixed gain).
     """
-    if geom.theta != 0.0:
-        raise DomainError(f"broadside form needs theta = 0, got {geom.theta!r}")
+    _require_broadside(geom)
     nf = sw_fisher_from_sums(sw_theta0_sums(layout, geom.r), layout, geom, n_r)
     return _unit_crb(nf, layout, n_r)
 
@@ -293,8 +291,7 @@ def hspw_crb_theta0(layout: ArrayLayout, geom: SceneGeometry, n_r: int) -> CrbRe
     The span is psi0 = 2 arctan(K big_d / (2 r)); ``hspw_crb_asymptotes``
     gives its limits.
     """
-    if geom.theta != 0.0:
-        raise DomainError(f"broadside form needs theta = 0, got {geom.theta!r}")
+    _require_broadside(geom)
     require_widely_spaced(layout, "the hybrid model")
     psi0 = 2.0 * math.atan(0.5 * layout.K * layout.big_d / geom.r)
     nf = hspw_fisher_from_sums(hspw_theta0_sums(layout.K, psi0), layout, geom, n_r)
@@ -310,8 +307,7 @@ def hspw_crb_asymptotes(layout: ArrayLayout, geom: SceneGeometry, n_r: int) -> T
     within-subarray and receive apertures remain.  The range bound diverges
     in both limits, so only the angle values are reported.
     """
-    if geom.theta != 0.0:
-        raise DomainError(f"broadside form needs theta = 0, got {geom.theta!r}")
+    _require_broadside(geom)
     require_widely_spaced(layout, "the hybrid model")
     chi = chi_factors(layout, geom, n_r)
     phi_theta, _ = _rx_sensitivities(geom, n_r)

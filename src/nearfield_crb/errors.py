@@ -51,3 +51,26 @@ def error_code(exc: BaseException) -> str:
             out.append("_")
         out.append(ch.lower())
     return "".join(out)
+
+
+def outcome(fn, *args, **kwargs):
+    """fn(*args, **kwargs), or the engine error it raises, kept bare.
+
+    A kept error holds no traceback and no chained exception: their frames
+    would keep the caller's vectors alive until the collector runs.
+    """
+    try:
+        return fn(*args, **kwargs)
+    except CrbEngineError as exc:
+        exc.__cause__ = exc.__context__ = None
+        return exc.with_traceback(None)
+
+
+def unwrap(result):
+    """The value of an ``outcome``, or raise its error."""
+    if isinstance(result, CrbEngineError):
+        try:
+            raise result
+        finally:
+            del result  # the traceback holds this frame: no cycle through it
+    return result

@@ -43,7 +43,7 @@ import numpy as np
 from . import validation
 from .array_layouts import ArrayLayout, d0_from_exponent, make_dua, make_ua, make_wsms
 from .crb_analytic import hspw_crb_asymptotes, sums_fishers
-from .errors import CrbEngineError, DomainError, SingularFisher, error_code
+from .errors import CrbEngineError, DomainError, SingularFisher, error_code, outcome
 from .fisher_core import (
     NormalizedFisher,
     bundle_fishers,
@@ -277,12 +277,10 @@ def _rows_on_layout(cfg: ScenarioConfig, points, layout: ArrayLayout | None = No
         layout = build_layout(cfg) if layout is None else layout
     except CrbEngineError as exc:
         return [_row(cfg, r, theta, None, None, error_code(exc)) for r, theta in points]
-    outcomes = []
-    for r, theta in points:
-        try:
-            outcomes.append(SceneGeometry(r=r, theta=theta, big_r=cfg.R, vartheta=cfg.vartheta))
-        except CrbEngineError as exc:
-            outcomes.append(exc.with_traceback(None))  # no cycle through this frame
+    outcomes = [
+        outcome(SceneGeometry, r=r, theta=theta, big_r=cfg.R, vartheta=cfg.vartheta)
+        for r, theta in points
+    ]
     if cfg.method != "oracle":
         geoms = [g for g in outcomes if isinstance(g, SceneGeometry)]
         if cfg.method == "direct":

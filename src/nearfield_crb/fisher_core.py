@@ -51,7 +51,7 @@ from .array_layouts import (
     require_widely_spaced,
     subarray_centers,
 )
-from .errors import CrbEngineError, DomainError, ElementCoincidence, IllConditioned, SingularFisher
+from .errors import DomainError, ElementCoincidence, IllConditioned, SingularFisher, outcome, unwrap
 from .geometry import SceneGeometry, arrival_triangle
 
 
@@ -195,6 +195,12 @@ def _spherical_trio(n: np.ndarray, r, sin, cos, k0: float):
     return value, d_theta, d_r, errors
 
 
+def _planar_pair(x: np.ndarray, sin, cos, k0: float):
+    """Unit-norm planar-wave vectors over coordinates x and their theta-derivatives."""
+    value = np.exp(1j * k0 * x * sin) / math.sqrt(x.size)
+    return value, value * (1j * k0 * x * cos)
+
+
 def _bundles(value, d_theta, d_r, errors) -> list:
     """One bundle per row of the stacked vectors, or that row's error."""
     value, d_theta, d_r = (v.reshape(len(errors), -1) for v in (value, d_theta, d_r))
@@ -215,10 +221,8 @@ def _pw_tx_bundles(layout: ArrayLayout, geoms: list) -> list:
     n = element_positions(layout)
     k0 = 2.0 * math.pi / layout.lam
     _, sin, cos = _targets(geoms)
-    value = np.exp(1j * k0 * n * sin) / math.sqrt(n.size)
-    d_theta = value * (1j * k0 * n * cos)
-    d_r = np.zeros_like(value)
-    return _bundles(value, d_theta, d_r, [None] * len(geoms))
+    value, d_theta = _planar_pair(n, sin, cos, k0)
+    return _bundles(value, d_theta, np.zeros_like(value), [None] * len(geoms))
 
 
 def _hspw_tx_bundles(layout: ArrayLayout, geoms: list) -> list:
@@ -226,12 +230,9 @@ def _hspw_tx_bundles(layout: ArrayLayout, geoms: list) -> list:
     k0 = 2.0 * math.pi / layout.lam
     centers = subarray_centers(layout)
     r, sin, cos = _targets(geoms)
+    # the spherical trio over subarray centres (x) the planar pair over offsets
     w, w_theta, w_r, errors = _spherical_trio(centers, r, sin, cos, k0)
-
-    offsets = centred_grid(layout.M, layout.d)
-    a = np.exp(1j * k0 * offsets * sin) / math.sqrt(layout.M)
-    a_theta = a * (1j * k0 * offsets * cos)
-
+    a, a_theta = _planar_pair(centred_grid(layout.M, layout.d), sin, cos, k0)
     value = _kron(w, a)
     d_theta = _kron(w_theta, a) + _kron(w, a_theta)
     d_r = _kron(w_r, a)
@@ -250,36 +251,25 @@ def tx_bundles(layout: ArrayLayout, geoms: list, model: str) -> list:
     is that bundle, or the engine error the point raises: every point
     raises an error of the layout or the model.
     """
-    if not geoms:
-        return []
-    try:
-        if model not in _TX_BATCHES:
-            raise DomainError(f"unknown wave model {model!r}")
-        return _TX_BATCHES[model](layout, geoms)
-    except CrbEngineError as exc:
-        return [exc] * len(geoms)
-
-
-def _one(outcome):
-    """The value of a one-point batch, or raise its error."""
-    if isinstance(outcome, CrbEngineError):
-        raise outcome
-    return outcome
+    if model not in _TX_BATCHES:
+        return [DomainError(f"unknown wave model {model!r}")] * len(geoms)
+    bundles = outcome(_TX_BATCHES[model], layout, geoms) if geoms else []
+    return bundles if isinstance(bundles, list) else [bundles] * len(geoms)
 
 
 def sw_tx_bundle(layout: ArrayLayout, geom: SceneGeometry) -> SteeringBundle:
     """Spherical-wave transmit steering bundle over all K*M elements."""
-    return _one(tx_bundles(layout, [geom], "sw")[0])
+    return unwrap(tx_bundles(layout, [geom], "sw")[0])
 
 
 def pw_tx_bundle(layout: ArrayLayout, geom: SceneGeometry) -> SteeringBundle:
     """Planar-wave transmit steering bundle (no range dependence)."""
-    return _one(tx_bundles(layout, [geom], "pw")[0])
+    return unwrap(tx_bundles(layout, [geom], "pw")[0])
 
 
 def hspw_tx_bundle(layout: ArrayLayout, geom: SceneGeometry) -> SteeringBundle:
     """Hybrid bundle: spherical across subarray centres, planar within."""
-    return _one(tx_bundles(layout, [geom], "hspw")[0])
+    return unwrap(tx_bundles(layout, [geom], "hspw")[0])
 
 
 def require_receiver_size(n_r: int) -> None:
@@ -469,7 +459,7 @@ def bundle_fisher(
     layout: ArrayLayout, geom: SceneGeometry, n_r: int, *, model: str = "sw"
 ) -> NormalizedFisher:
     """Normalized Fisher block assembled from the steering bundles."""
-    return _one(bundle_fishers(layout, [geom], n_r, model=model)[0])
+    return unwrap(bundle_fishers(layout, [geom], n_r, model=model)[0])
 
 
 # Transmit elements, summed over the points, that one batch builds at once.
@@ -495,18 +485,11 @@ def bundle_fishers(layout: ArrayLayout, geoms: list, n_r: int, *, model: str = "
 
 def _batch_fishers(layout: ArrayLayout, geoms: list, n_r: int, model: str) -> list:
     """The blocks (or errors) of one batch, its transmit bundles built in one pass."""
-    out = []
-    for geom, tx in zip(geoms, tx_bundles(layout, geoms, model)):
-        if isinstance(tx, CrbEngineError):
-            out.append(tx)
-            continue
-        try:
-            rx = rx_bundle(layout, n_r, geom)
-            out.append(normalized_fisher(amfs(tx, rx)))
-        except CrbEngineError as exc:
-            # kept without its traceback, whose frames would hold this batch
-            out.append(exc.with_traceback(None))
-    return out
+
+    def fisher(geom, tx):  # a transmit error first
+        return normalized_fisher(amfs(unwrap(tx), rx_bundle(layout, n_r, geom)))
+
+    return [outcome(fisher, *point) for point in zip(geoms, tx_bundles(layout, geoms, model))]
 
 
 def full_fisher_oracle(
@@ -536,7 +519,7 @@ def full_fisher_oracle(
 
     def hvec(theta: float, r: float) -> np.ndarray:
         g = replace(geom, theta=theta, r=r)
-        tx = _one(tx_bundles(layout, [g], model)[0]).value
+        tx = unwrap(tx_bundles(layout, [g], model)[0]).value
         rx = rx_bundle(layout, n_r, g).value
         mapped = np.conj(tx) if unitary is None else unitary.T @ np.conj(tx)
         return _kron(mapped, rx)

@@ -34,7 +34,7 @@ from .crb_analytic import (
     sw_crb_theta0,
     sw_fisher_from_sums,
 )
-from .errors import CrbEngineError, SingularityNearPi2
+from .errors import SingularityNearPi2, unwrap
 from .fisher_core import (
     bundle_crb,
     bundle_fisher,
@@ -196,11 +196,7 @@ TX_MODELS = ("sw", "hspw", "pw")
 
 def _tx_batch(lay, geoms, model) -> list:
     """The transmit bundles at geoms from one batched call, the sweeps' route."""
-    bundles = tx_bundles(lay, geoms, model)
-    for b in bundles:
-        if isinstance(b, CrbEngineError):
-            raise b
-    return bundles
+    return [unwrap(b) for b in tx_bundles(lay, geoms, model)]
 
 
 def check_steering_norms() -> CheckOutcome:

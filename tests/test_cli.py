@@ -23,6 +23,8 @@ from nearfield_crb import (
     bundle_fisher,
     crb,
     crb_theta_only,
+    full_fisher_oracle,
+    hspw_tx_bundle,
     d0_from_exponent,
     make_wsms,
     received_gain_sq,
@@ -820,22 +822,67 @@ def test_error_shared_by_a_sweep_is_not_raised_per_point(monkeypatch):
     assert shared.__traceback__ is None
 
 
+def cyclic_garbage(fn, *args):
+    """fn(*args), and the count of cyclic objects it leaves, the collector off around it."""
+    gc.collect()
+    gc.disable()
+    try:
+        return fn(*args), gc.collect()
+    finally:
+        gc.enable()
+
+
+# scenario fields -> the least count of error rows over the points below and
+# both receiver tilts
+CYCLE_SCENES = {
+    # invalid scenes, a tilted receiver and the closed forms' theta cap
+    "scenes": ({}, 8),
+    # errors of the whole layout: the hybrid model on a uniform mirror, and
+    # elements that coincide at a gap of 2^600 half-wavelengths
+    "hybrid ua": ({"model": "hspw", "layout": "ua"}, 12),
+    "I=600": ({"I": 600}, 12),
+    # the receiver's distance overflows inside the engine: the error raised
+    # there holds the overflow as its context, whose traceback holds the frames
+    "R=1e120": ({"R": 1e120}, 12),
+    "R=1e200": ({"R": 1e200}, 12),
+}
+
+
 @pytest.mark.parametrize("method", METHODS)
 def test_error_rows_leave_no_reference_cycles(method):
     # an error kept with its traceback refers back to the frames that hold
     # it, and such a cycle keeps their vectors alive until the collector runs
-    cfg = ScenarioConfig(K=3, M=16, I=4, N_r=4, theta=0.3, method=method)
-    points = [(0.0, 0.3), (1.0, 0.3), (1.0, 1.5), (1.0, math.pi / 2.0)]
-    gc.collect()
-    gc.disable()
+    base = ScenarioConfig(K=3, M=16, I=4, N_r=4, theta=0.3, method=method)
+    points = [(0.0, 0.3), (1.0, 0.3), (1.0, 1.5), (1.0, math.pi / 2.0), (5.0, 0.3), (20.0, -0.2)]
+    garbage = {}
+    for scene, (fields, least_errors) in CYCLE_SCENES.items():
+        cfg = replace(base, **fields)
+        rows, garbage[scene] = cyclic_garbage(lambda: [
+            row for vartheta in (0.0, 0.1)
+            for row in experiment_cli._rows_on_layout(replace(cfg, vartheta=vartheta), points)
+        ])
+        assert sum(bool(row["error_code"]) for row in rows) >= least_errors, scene
+    assert garbage == dict.fromkeys(CYCLE_SCENES, 0)
+
+
+def raised_code(fn, *args, **kwargs):
     try:
-        rows = [row for vartheta in (0.0, 0.1)
-                for row in experiment_cli._rows_on_layout(replace(cfg, vartheta=vartheta), points)]
-        garbage = gc.collect()
-    finally:
-        gc.enable()
-    assert garbage == 0
-    assert sum(bool(row["error_code"]) for row in rows) >= 5
+        fn(*args, **kwargs)
+    except CrbEngineError as exc:
+        return error_code(exc)
+    return ""
+
+
+@pytest.mark.parametrize("call, code", [
+    (lambda ua, geom: bundle_fisher(ua, geom, 1, model="hspw"), "invalid_layout"),
+    (lambda ua, geom: hspw_tx_bundle(ua, geom), "invalid_layout"),
+    (lambda ua, geom: full_fisher_oracle(ua, geom, 1, model="hspw"), "invalid_layout"),
+    (lambda ua, geom: bundle_fisher(ua, replace(geom, vartheta=0.2), 4), "domain_error"),
+], ids=["bundle_fisher", "hspw_tx_bundle", "full_fisher_oracle", "bundle_fisher tilted"])
+def test_a_raised_point_error_leaves_no_reference_cycles(call, code):
+    ua = build_layout(ScenarioConfig(K=3, M=16, I=4, layout="ua"))
+    geom = SceneGeometry(r=10.0, theta=0.3, big_r=50.0)
+    assert cyclic_garbage(raised_code, call, ua, geom) == (code, 0)
 
 
 # Scenes each route must accept or reject alike: one error code on every
@@ -864,16 +911,29 @@ AGREEMENT_SCENES = [
 ]
 
 
+def crb_csv(cfg):
+    """The text ``crb`` prints for cfg."""
+    buf = io.StringIO()
+    experiment_cli.write_rows([run_point(cfg)], buf)
+    return buf.getvalue()
+
+
 @pytest.mark.parametrize("scene", AGREEMENT_SCENES, ids=" ".join)
-def test_every_method_accepts_or_rejects_a_scene_alike(capsys, scene):
+def test_every_method_accepts_or_rejects_a_scene_alike(scene):
     results = {}
+    garbage = {}
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for method in METHODS:
-            _, out = run_cli(capsys, ["crb", "--theta", "0.3", *scene, "--method", method])
+            # parsed outside the collector window: argparse alone leaves cycles
+            args = experiment_cli.build_parser().parse_args(
+                ["crb", "--theta", "0.3", *scene, "--method", method]
+            )
+            out, garbage[method] = cyclic_garbage(crb_csv, experiment_cli.scenario_from_args(args))
             row = parse_rows(out)[0]
             results[method] = (row["error_code"], row["crb_theta_rad2"] != "")
     assert len(set(results.values())) == 1, results
+    assert garbage == dict.fromkeys(METHODS, 0)
 
 
 def test_oracle_row_scales_from_unit_gain_and_noise():
