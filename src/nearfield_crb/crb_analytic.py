@@ -47,7 +47,7 @@ from .closed_form import (
     sw_sums_riemann,
     sw_theta0_sums,
 )
-from .errors import CrbEngineError, DomainError, SingularFisher, outcome
+from .errors import DomainError, SingularFisher, each_point
 from .fisher_core import (
     _EPS,
     NOISE_FLOOR_MULT,
@@ -124,17 +124,20 @@ def _rx_sensitivities(geom: SceneGeometry, n_r: int):
     return phi_theta, phi_r
 
 
-def _assemble(
-    sums: SumFormulas,
-    chi_tx: float,
-    geom: SceneGeometry,
-    chi_nr: float,
-    phi_theta: float,
-    phi_r: float,
-    planar_11: float = 0.0,
+def _fisher_from_sums(
+    sums: SumFormulas, layout: ArrayLayout, geom: SceneGeometry, n_r: int, hybrid: bool
 ) -> NormalizedFisher:
+    """The normalized Fisher block of either sum model (see the module docstring)."""
+    count, noun = (layout.K, "subarrays") if hybrid else (layout.n_elements, "elements")
+    if sums.n != count:
+        raise DomainError(f"sums cover {sums.n} terms but the layout has {count} {noun}")
+    chi = chi_factors(layout, geom, n_r)
+    phi_theta, phi_r = _rx_sensitivities(geom, n_r)
+    chi_tx, chi_nr = chi.chi_nt, chi.chi_nr
     n = sums.n
     r, c = geom.r, cos(geom.theta)
+    # a planar subarray carries angle but no range information
+    planar_11 = chi.chi_m * power(c, 2) if hybrid else 0.0
     r2c2 = r * r * c * c
     # below a range of ~1e-154 m the range terms divide by zero
     r2c2 = checked(r2c2, r2c2 == 0.0, lambda: SingularFisher(
@@ -165,36 +168,17 @@ def _assemble(
 
 
 def sw_fisher_from_sums(
-    sums: SumFormulas,
-    layout: ArrayLayout,
-    geom: SceneGeometry,
-    n_r: int,
+    sums: SumFormulas, layout: ArrayLayout, geom: SceneGeometry, n_r: int
 ) -> NormalizedFisher:
     """Spherical-wave normalized Fisher block from element-level sums."""
-    if sums.n != layout.n_elements:
-        raise DomainError(
-            f"sums cover {sums.n} terms but the layout has {layout.n_elements} elements"
-        )
-    chi = chi_factors(layout, geom, n_r)
-    phi_theta, phi_r = _rx_sensitivities(geom, n_r)
-    return _assemble(sums, chi.chi_nt, geom, chi.chi_nr, phi_theta, phi_r)
+    return _fisher_from_sums(sums, layout, geom, n_r, hybrid=False)
 
 
 def hspw_fisher_from_sums(
-    sums: SumFormulas,
-    layout: ArrayLayout,
-    geom: SceneGeometry,
-    n_r: int,
+    sums: SumFormulas, layout: ArrayLayout, geom: SceneGeometry, n_r: int
 ) -> NormalizedFisher:
     """Hybrid normalized Fisher block from subarray-centre sums."""
-    if sums.n != layout.K:
-        raise DomainError(
-            f"sums cover {sums.n} terms but the layout has {layout.K} subarrays"
-        )
-    chi = chi_factors(layout, geom, n_r)
-    phi_theta, phi_r = _rx_sensitivities(geom, n_r)
-    planar = chi.chi_m * power(cos(geom.theta), 2)
-    return _assemble(sums, chi.chi_nt, geom, chi.chi_nr, phi_theta, phi_r, planar_11=planar)
+    return _fisher_from_sums(sums, layout, geom, n_r, hybrid=True)
 
 
 # (wave model, method) -> the sums that feed the model's assembly: "direct"
@@ -228,30 +212,26 @@ def sums_fishers(layout: ArrayLayout, geoms: list, n_r: int, *, model: str) -> l
 
     Entry p is the "riemann" block at geoms[p], or the engine error
     ``sums_fisher`` raises there.  Two or more points run once, on a
-    ``GeometryGrid``.  A point whose block comes out non-finite there (a
+    ``GeometryGrid``; a point whose block comes out non-finite there (a
     point that raises alone reads NaN), and every point of a grid that
-    raises as a whole, is evaluated again alone, so each point gets the
-    very block or error it gets alone.
+    raises as a whole, is evaluated again alone (``errors.each_point``), so
+    each point gets the very block or error it gets alone.
     """
-    blocks = [None] * len(geoms)
-    if len(geoms) > 1:
-        try:
-            with np.errstate(all="ignore"):
-                grid = sums_fisher(layout, GeometryGrid.of(geoms), n_r, model=model, method="riemann")
-        except (CrbEngineError, ArithmeticError):
-            pass
-        else:
-            cols = (grid.q11, grid.q12, grid.q22, grid.q11_floor, grid.q22_floor)
-            # floats, where every point is the same scene
-            table = np.broadcast_to(np.reshape(cols, (5, -1)), (5, len(geoms)))
-            finite = np.isfinite(table).all(axis=0).tolist()
-            for p, entries in enumerate(zip(*table.tolist())):
-                if finite[p]:
-                    blocks[p] = NormalizedFisher(*entries)
-    return [
-        outcome(sums_fisher, layout, g, n_r, model=model, method="riemann") if b is None else b
-        for b, g in zip(blocks, geoms)
-    ]
+
+    def alone(geom):
+        return sums_fisher(layout, geom, n_r, model=model, method="riemann")
+
+    def grid(points):
+        with np.errstate(all="ignore"):
+            nf = alone(GeometryGrid.of(points))
+        cols = (nf.q11, nf.q12, nf.q22, nf.q11_floor, nf.q22_floor)
+        # floats, where every point is the same scene
+        table = np.broadcast_to(np.reshape(cols, (5, -1)), (5, len(points)))
+        finite = np.isfinite(table).all(axis=0).tolist()
+        rows = zip(*table.tolist())
+        return [NormalizedFisher(*row) if ok else None for ok, row in zip(finite, rows)]
+
+    return each_point(grid, alone, geoms)
 
 
 def sw_crb_closed(

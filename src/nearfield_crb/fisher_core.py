@@ -32,9 +32,12 @@ Transmit bundles are built per batch of points on one layout
 in-subarray offsets are computed once, and each vector is one row of a
 (points, elements) array.  Every element keeps the single point's
 operations in their order, so each row is bit for bit the bundle of its
-point alone; a single point is the one-row batch.  ``bundle_fishers``
-bounds its own memory: it reduces each batch of ``BATCH_ELEMENTS``
-transmit elements to its Fisher blocks before it builds the next.
+point alone; a single point is the one-row batch.  A batch with a point
+that fails raises as that point would, and each of its points is then
+built alone (``errors.each_point``, the closed forms' rule too), so every
+point gets its own bundle or error.  ``bundle_fishers`` bounds its own
+memory: it reduces each batch of ``BATCH_ELEMENTS`` transmit elements to
+its Fisher blocks before it builds the next.
 """
 
 from __future__ import annotations
@@ -51,7 +54,9 @@ from .array_layouts import (
     require_widely_spaced,
     subarray_centers,
 )
-from .errors import DomainError, ElementCoincidence, IllConditioned, SingularFisher, outcome, unwrap
+from .errors import (
+    DomainError, ElementCoincidence, IllConditioned, SingularFisher, each_point, outcome, unwrap,
+)
 from .geometry import SceneGeometry, arrival_triangle
 
 
@@ -149,50 +154,36 @@ def _targets(geoms: list) -> tuple:
     return arr[:, 0:1], arr[:, 1:2], arr[:, 2:3]
 
 
-def _element_distances(n: np.ndarray, r, sin) -> tuple:
-    """Distances from the coordinates n to each target row, and each row's error.
+def _element_distances(n: np.ndarray, r, sin) -> np.ndarray:
+    """Distances from the coordinates n to each target row.
 
-    r and sin come from ``_targets``.  errors[p] is the error target p
-    raises, or None: an overflow comes before a target on an element.
-    Those rows are set to 1, so that the rest of the batch raises no
-    floating-point warning on their account.
+    r and sin come from ``_targets``.  Raises the error of a single point:
+    an overflow before a target on an element.  A batch raises it if any
+    row does, and ``tx_bundles`` then builds each point alone.
     """
     # when r * r and 2 n r sin both overflow, their difference is NaN
     with np.errstate(over="ignore", invalid="ignore"):
         rnt = r * r - 2.0 * n * r * sin + n * n
-    rows = rnt.reshape(-1, n.size)
-    errors = [None] * len(rows)
     # min is NaN if any entry is, so one test clears a batch where no row
     # raises.  An aperture beyond ~1e154 m makes every phase and derivative
     # inf or NaN, so the block carries no information.
     if not (rnt.min() > 0.0 and rnt.max() < math.inf):
-        overflow = ~np.isfinite(rows).all(axis=1)
-        on_element = (rows <= 0.0).any(axis=1)
-        for p in np.flatnonzero(overflow | on_element):
-            if overflow[p]:
-                errors[p] = SingularFisher("element distances overflow: the aperture is too wide")
-            else:
-                errors[p] = ElementCoincidence("target coincides with an array element")
-            rows[p] = 1.0
-    return np.sqrt(rnt), errors
+        if not np.isfinite(rnt).all():
+            raise SingularFisher("element distances overflow: the aperture is too wide")
+        raise ElementCoincidence("target coincides with an array element")
+    return np.sqrt(rnt)
 
 
 def _spherical_trio(n: np.ndarray, r, sin, cos, k0: float):
     """Unit-norm spherical-wave vectors over coordinates n, one row per target.
 
-    Returns the values, their theta- and r-derivatives, and each row's error.
+    Returns the values and their theta- and r-derivatives.
     """
-    dist, errors = _element_distances(n, r, sin)
-    if any(err is not None for err in errors):
-        # an error row's target moves to the origin, so that its discarded
-        # vectors raise no floating-point warning (k0 n r overflows at a
-        # range near 1e306)
-        keep = np.reshape([err is None for err in errors], np.shape(r))
-        r, sin, cos = (np.where(keep, x, 0.0) for x in (r, sin, cos))
+    dist = _element_distances(n, r, sin)
     value = np.exp(-1j * k0 * dist) / math.sqrt(n.size)
     d_theta = value * (1j * k0 * n * r * cos / dist)
     d_r = value * (1j * k0 * (n * sin - r) / dist)
-    return value, d_theta, d_r, errors
+    return value, d_theta, d_r
 
 
 def _planar_pair(x: np.ndarray, sin, cos, k0: float):
@@ -201,13 +192,10 @@ def _planar_pair(x: np.ndarray, sin, cos, k0: float):
     return value, value * (1j * k0 * x * cos)
 
 
-def _bundles(value, d_theta, d_r, errors) -> list:
-    """One bundle per row of the stacked vectors, or that row's error."""
-    value, d_theta, d_r = (v.reshape(len(errors), -1) for v in (value, d_theta, d_r))
-    return [
-        err if err is not None else SteeringBundle(value[p], d_theta[p], d_r[p])
-        for p, err in enumerate(errors)
-    ]
+def _bundles(value, d_theta, d_r) -> list:
+    """One bundle per row of the stacked vectors; a 1-D vector is one row."""
+    rows = (np.atleast_2d(v) for v in (value, d_theta, d_r))
+    return [SteeringBundle(*row) for row in zip(*rows)]
 
 
 def _sw_tx_bundles(layout: ArrayLayout, geoms: list) -> list:
@@ -222,7 +210,7 @@ def _pw_tx_bundles(layout: ArrayLayout, geoms: list) -> list:
     k0 = 2.0 * math.pi / layout.lam
     _, sin, cos = _targets(geoms)
     value, d_theta = _planar_pair(n, sin, cos, k0)
-    return _bundles(value, d_theta, np.zeros_like(value), [None] * len(geoms))
+    return _bundles(value, d_theta, np.zeros_like(value))
 
 
 def _hspw_tx_bundles(layout: ArrayLayout, geoms: list) -> list:
@@ -231,12 +219,12 @@ def _hspw_tx_bundles(layout: ArrayLayout, geoms: list) -> list:
     centers = subarray_centers(layout)
     r, sin, cos = _targets(geoms)
     # the spherical trio over subarray centres (x) the planar pair over offsets
-    w, w_theta, w_r, errors = _spherical_trio(centers, r, sin, cos, k0)
+    w, w_theta, w_r = _spherical_trio(centers, r, sin, cos, k0)
     a, a_theta = _planar_pair(centred_grid(layout.M, layout.d), sin, cos, k0)
     value = _kron(w, a)
     d_theta = _kron(w_theta, a) + _kron(w, a_theta)
     d_r = _kron(w_r, a)
-    return _bundles(value, d_theta, d_r, errors)
+    return _bundles(value, d_theta, d_r)
 
 
 _TX_BATCHES = {"sw": _sw_tx_bundles, "hspw": _hspw_tx_bundles, "pw": _pw_tx_bundles}
@@ -248,13 +236,14 @@ def tx_bundles(layout: ArrayLayout, geoms: list, model: str) -> list:
     The layout's element positions, k0 and the hybrid model's in-subarray
     offsets are computed once; each element's arithmetic is the single
     point's, so row p is bit for bit the bundle at geoms[p] alone.  Entry p
-    is that bundle, or the engine error the point raises: every point
-    raises an error of the layout or the model.
+    is that bundle, or the engine error the point raises: a batch raises
+    like a single point, and then each point is built alone
+    (``errors.each_point``).
     """
     if model not in _TX_BATCHES:
         return [DomainError(f"unknown wave model {model!r}")] * len(geoms)
-    bundles = outcome(_TX_BATCHES[model], layout, geoms) if geoms else []
-    return bundles if isinstance(bundles, list) else [bundles] * len(geoms)
+    build = _TX_BATCHES[model]
+    return each_point(lambda batch: build(layout, batch), lambda g: build(layout, [g])[0], geoms)
 
 
 def sw_tx_bundle(layout: ArrayLayout, geom: SceneGeometry) -> SteeringBundle:

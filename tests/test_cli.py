@@ -33,10 +33,12 @@ from nearfield_crb import (
 from nearfield_crb import experiment_cli, fisher_core, validation
 from nearfield_crb.errors import (
     CrbEngineError,
+    DomainError,
     IllConditioned,
     InvalidLayout,
     SingularFisher,
     SingularityNearPi2,
+    each_point,
     error_code,
 )
 from nearfield_crb.experiment_cli import (
@@ -883,6 +885,82 @@ def test_a_raised_point_error_leaves_no_reference_cycles(call, code):
     ua = build_layout(ScenarioConfig(K=3, M=16, I=4, layout="ua"))
     geom = SceneGeometry(r=10.0, theta=0.3, big_r=50.0)
     assert cyclic_garbage(raised_code, call, ua, geom) == (code, 0)
+
+
+def each_point_calls(batch_results, points):
+    """each_point's results, with the points the batch and ``alone`` saw.
+
+    batch_results is the batch's list, or the exception type it raises.
+    ``alone`` fails a negative point with a chained DomainError.
+    """
+    seen = {"batch": [], "alone": []}
+
+    def batch(pts):
+        seen["batch"].append(list(pts))
+        if isinstance(batch_results, type):
+            raise batch_results("the whole batch")
+        return batch_results
+
+    def alone(p):
+        seen["alone"].append(p)
+        if p < 0:
+            try:
+                math.sqrt(p)
+            except ValueError as exc:
+                raise DomainError(f"negative point {p}") from exc
+        return f"alone {p}"
+
+    return each_point(batch, alone, points), seen
+
+
+@pytest.mark.parametrize("kind", [InvalidLayout, OverflowError, ZeroDivisionError])
+def test_a_raising_batch_sends_every_point_alone(kind):
+    (out, seen), garbage = cyclic_garbage(each_point_calls, kind, [1, -2, 3])
+    assert seen == {"batch": [[1, -2, 3]], "alone": [1, -2, 3]}
+    assert out[0] == "alone 1" and out[2] == "alone 3"
+    assert type(out[1]) is DomainError and str(out[1]) == "negative point -2"
+    assert out[1].__traceback__ is out[1].__context__ is out[1].__cause__ is None
+    assert garbage == 0
+
+
+def test_a_none_entry_sends_only_its_point_alone():
+    out, seen = each_point_calls(["batch 1", None, "batch 3"], [1, -2, 3])
+    assert seen == {"batch": [[1, -2, 3]], "alone": [-2]}
+    assert out[0] == "batch 1" and out[2] == "batch 3"
+    assert type(out[1]) is DomainError
+    assert out[1].__traceback__ is out[1].__context__ is out[1].__cause__ is None
+
+
+def test_a_lone_point_never_calls_the_batch():
+    for points, want in (([5], ["alone 5"]), ([], [])):
+        out, seen = each_point_calls(TypeError, points)
+        assert out == want and seen == {"batch": [], "alone": points}
+
+
+def test_a_batch_that_fails_otherwise_raises():
+    # only engine and arithmetic errors are a point's own: a TypeError is a bug
+    with pytest.raises(TypeError):
+        each_point_calls(TypeError, [1, 2])
+
+
+def test_no_figure_transmit_batch_falls_back_point_by_point(monkeypatch):
+    # fig3-fig9 build 98 transmit batches of two or more points and none of
+    # them raises, so building points alone costs the figures nothing
+    batches = []
+    for model, build in list(fisher_core._TX_BATCHES.items()):
+        def spy(layout, geoms, build=build):
+            try:
+                out = build(layout, geoms)
+            except Exception as exc:
+                batches.append((len(geoms), type(exc).__name__))
+                raise
+            batches.append((len(geoms), None))
+            return out
+        monkeypatch.setitem(fisher_core._TX_BATCHES, model, spy)
+    for figure in experiment_cli.FIGURES.values():
+        figure()
+    assert any(size > 1 for size, _ in batches)
+    assert [b for b in batches if b[1] is not None] == []
 
 
 # Scenes each route must accept or reject alike: one error code on every
