@@ -58,6 +58,8 @@ def _validate(K: int, M: int, d: float, d0: float, lam: float) -> None:
             f"subarray gap d0 = {d0!r} must be finite and at least the element spacing "
             f"d = {d!r}, or adjacent subarrays would interleave"
         )
+    if not (K - 1) * ((M - 1) * d + d0) + (M - 1) * d < math.inf:
+        raise InvalidLayout("the layout's aperture overflows a float")
 
 
 def require_widely_spaced(layout: ArrayLayout, what: str) -> None:
@@ -100,8 +102,6 @@ def make_ua(K: int, M: int, d: float, d0: float, lam: float) -> ArrayLayout:
         raise InvalidLayout("a uniform mirror needs at least two elements")
     big_d = (M - 1) * d + d0
     d_prime = ((K - 1) * big_d + (M - 1) * d) / (K * M - 1)
-    if not d_prime < math.inf:
-        raise InvalidLayout(f"the uniform mirror's spacing overflows a float, got {d_prime!r}")
     return ArrayLayout("ua", K, M, d_prime, d_prime, lam)
 
 

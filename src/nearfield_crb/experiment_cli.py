@@ -13,6 +13,11 @@ precondition produce a row with an error_code and blank bound columns; a
 sweep never aborts mid-grid.  Everything is deterministic, so reruns are
 byte-identical.
 
+Each row takes one path: the method picks one route for all of a call's
+scenes (``direct`` the steering bundles, ``oracle`` the finite-difference
+oracle, else the closed-form sums), and ``_bounds`` turns each point's result
+into its bounds or error code.
+
 Scenario parameters come from defaults, then an optional --config file of
 flat ``key = value`` lines using the ScenarioConfig field names, then CLI
 flags (highest precedence, same names).
@@ -45,7 +50,7 @@ from .array_layouts import ArrayLayout, d0_from_exponent, make_dua, make_ua, mak
 from .crb_analytic import hspw_crb_asymptotes, sums_fishers
 from .errors import CrbEngineError, DomainError, SingularFisher, error_code, outcome
 from .fisher_core import (
-    NormalizedFisher,
+    OracleResult,
     bundle_fishers,
     crb,
     crb_theta_only,
@@ -199,43 +204,34 @@ def build_layout(cfg: ScenarioConfig) -> ArrayLayout:
     return make_dua(cfg.K, cfg.M, cfg.d, cfg.lam)
 
 
-def _evaluate(cfg: ScenarioConfig, layout: ArrayLayout, beta_sq: float, outcome):
-    """(crb_theta, crb_r, error_code) of one point's outcome at gain beta_sq.
+def _bounds(cfg: ScenarioConfig, layout: ArrayLayout, beta_sq: float, sigma_n_sq: float, result):
+    """(crb_theta, crb_r, error_code) from one point's result at gain beta_sq and noise sigma_n_sq.
 
-    The outcome is the point's engine error, its block, or its scene for
-    the oracle.  The error is not raised: it can be shared by many points,
-    and each raise would lengthen its traceback.
+    The result is a kept engine error, an oracle result or a normalized
+    Fisher block.  A kept error is never raised: it can be shared by many
+    points, and each raise would lengthen its traceback.
     """
-    if isinstance(outcome, CrbEngineError):
-        return None, None, error_code(outcome)
+    if isinstance(result, CrbEngineError):
+        return None, None, error_code(result)
     try:
-        if cfg.method == "oracle":
-            res = full_fisher_oracle(layout, outcome, cfg.N_r, model=cfg.model)
+        if isinstance(result, OracleResult):
             # unit-gain bounds times sigma^2 / |alpha|^2, exactly 1.0 at unit gain and noise
-            require_gain_and_noise(beta_sq, cfg.sigma_n_sq)
-            scale = cfg.sigma_n_sq * (received_gain_sq(1.0, cfg.N_r, layout.n_elements) / beta_sq)
-            return res.crb_theta * scale, res.crb_r * scale, ""
-        return _bounds(cfg, beta_sq, outcome)
+            require_gain_and_noise(beta_sq, sigma_n_sq)
+            scale = sigma_n_sq * (received_gain_sq(1.0, cfg.N_r, layout.n_elements) / beta_sq)
+            return result.crb_theta * scale, result.crb_r * scale, ""
+        try:
+            res = crb(result, beta_sq, sigma_n_sq)
+        except SingularFisher as singular:
+            # Decoupled degeneracies keep the angle estimable (planar phases carry
+            # no range curvature; broadside K<=2 hybrid layouts lose across-subarray
+            # range information identically): the row keeps the scalar angle bound.
+            try:
+                return crb_theta_only(result, beta_sq, sigma_n_sq), None, "singular_fisher"
+            except DomainError:
+                return None, None, error_code(singular)
+        return res.crb_theta, res.crb_r, ""
     except CrbEngineError as exc:
         return None, None, error_code(exc)
-
-
-def _bounds(cfg: ScenarioConfig, beta_sq: float, nf: NormalizedFisher):
-    """(crb_theta, crb_r, error_code) from one point's normalized Fisher block."""
-    try:
-        res = crb(nf, beta_sq, cfg.sigma_n_sq)
-    except SingularFisher as singular:
-        # Decoupled degeneracies keep the angle estimable: planar phases
-        # carry no range curvature, and broadside K<=2 hybrid layouts lose
-        # across-subarray range information identically.  Report the scalar
-        # angle bound and flag the missing range bound; a coupled singular
-        # block (crb_theta_only's DomainError) stays the pair's error.
-        try:
-            theta_only = crb_theta_only(nf, beta_sq, cfg.sigma_n_sq)
-        except DomainError:
-            raise singular from None
-        return theta_only, None, "singular_fisher"
-    return res.crb_theta, res.crb_r, ""
 
 
 def _root(v):
@@ -268,32 +264,30 @@ def _rows_on_layout(cfg: ScenarioConfig, points, layout: ArrayLayout | None = No
 
     Every evaluated CLI row comes from here.  The layout does not depend on
     r or theta: it is built once from cfg unless the caller passes one.  The
-    direct route gets every block from one ``bundle_fishers`` call, which
-    bounds its own batches, and the closed forms from one ``sums_fishers``
-    call.  Engine errors become error-code rows, each point's own, a
-    scene's error first, a layout's error on every point.
+    method picks one route for every valid scene: ``direct`` one batched
+    ``bundle_fishers`` call, ``oracle`` a ``full_fisher_oracle`` call per
+    scene, any other one ``sums_fishers`` call.  ``_bounds`` turns each
+    point's result, or its scene's error, into its bounds; a layout's error
+    goes on every point.
     """
     try:
         layout = build_layout(cfg) if layout is None else layout
     except CrbEngineError as exc:
         return [_row(cfg, r, theta, None, None, error_code(exc)) for r, theta in points]
-    outcomes = [
-        outcome(SceneGeometry, r=r, theta=theta, big_r=cfg.R, vartheta=cfg.vartheta)
-        for r, theta in points
-    ]
-    if cfg.method != "oracle":
-        geoms = [g for g in outcomes if isinstance(g, SceneGeometry)]
-        if cfg.method == "direct":
-            blocks = bundle_fishers(layout, geoms, cfg.N_r, model=cfg.model)
-        else:
-            blocks = sums_fishers(layout, geoms, cfg.N_r, model=cfg.model)
-        blocks = iter(blocks)
-        outcomes = [next(blocks) if isinstance(g, SceneGeometry) else g for g in outcomes]
-    beta_sq = received_gain_sq(cfg.alpha, cfg.N_r, layout.n_elements)
-    return [
-        _row(cfg, *point, *_evaluate(cfg, layout, beta_sq, outcome))
-        for point, outcome in zip(points, outcomes)
-    ]
+    scenes = [outcome(SceneGeometry, r=r, theta=theta, big_r=cfg.R, vartheta=cfg.vartheta)
+              for r, theta in points]
+    geoms = [g for g in scenes if isinstance(g, SceneGeometry)]
+    if cfg.method == "direct":
+        results = bundle_fishers(layout, geoms, cfg.N_r, model=cfg.model)
+    elif cfg.method == "oracle":
+        results = [outcome(full_fisher_oracle, layout, g, cfg.N_r, model=cfg.model) for g in geoms]
+    else:
+        results = sums_fishers(layout, geoms, cfg.N_r, model=cfg.model)
+    results = iter(results)
+    results = [next(results) if isinstance(g, SceneGeometry) else g for g in scenes]
+    beta_sq, sigma_n_sq = received_gain_sq(cfg.alpha, cfg.N_r, layout.n_elements), cfg.sigma_n_sq
+    return [_row(cfg, *point, *_bounds(cfg, layout, beta_sq, sigma_n_sq, result))
+            for point, result in zip(points, results)]
 
 
 def run_point(cfg: ScenarioConfig) -> dict:

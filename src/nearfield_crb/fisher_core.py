@@ -309,7 +309,10 @@ def amfs(tx: SteeringBundle, rx: SteeringBundle) -> AmfSet:
     conj(t0) (x) r1 and d_r = conj(t2) (x) r0 + conj(t0) (x) r2, where
     0, 1, 2 index (value, d_theta, d_r), each entry below adds its terms
     in that order, starting from 0.  t_ij = vdot(t_i, t_j) and r_ij
-    likewise; t_12 and r_21 never enter.
+    likewise; t_12 and r_21 never enter.  A derivative norm t11, t22, r11 or
+    r22 that is not finite raises SingularFisher before any product can
+    overflow: a ``ua`` mirror spaced near the float range squares its phase
+    rates to inf.
     """
     t0, t1, t2 = tx.value, tx.d_theta, tx.d_r
     r0, r1, r2 = rx.value, rx.d_theta, rx.d_r
@@ -319,6 +322,9 @@ def amfs(tx: SteeringBundle, rx: SteeringBundle) -> AmfSet:
     r00, r01, r02 = np.vdot(r0, r0), np.vdot(r0, r1), np.vdot(r0, r2)
     r10, r11, r12 = np.vdot(r1, r0), np.vdot(r1, r1), np.vdot(r1, r2)
     r20, r22 = np.vdot(r2, r0), np.vdot(r2, r2)
+    if not (abs(t11) < math.inf and abs(t22) < math.inf
+            and abs(r11) < math.inf and abs(r22) < math.inf):
+        raise SingularFisher("a derivative norm is not finite")
     return AmfSet(
         htheta_sq=float((0 + t11 * r00 + t01 * r01 + t10 * r10 + t00 * r11).real),
         hr_sq=float((0 + t22 * r00 + t02 * r02 + t20 * r20 + t00 * r22).real),

@@ -130,6 +130,18 @@ def test_ua_matches_wsms_aperture():
         assert math.isclose(b - a, spacing, rel_tol=1e-9)
 
 
+@pytest.mark.parametrize("build", [
+    lambda d: make_wsms(3, 128, d, 8.0 * d, 2.0 * d),
+    lambda d: make_ua(3, 128, d, 8.0 * d, 2.0 * d),
+    lambda d: make_dua(3, 128, d, 2.0 * d),
+], ids=["wsms", "ua", "dua"])
+def test_an_aperture_past_the_float_range_is_invalid_layout(build):
+    # carriers near 3e-298 Hz: the end elements sit near 1e308 m, or at inf
+    assert all(map(math.isfinite, element_positions(build(4e305))))
+    with pytest.raises(InvalidLayout, match="aperture overflows"):
+        build(5e305)
+
+
 def test_layout_validation():
     with pytest.raises(InvalidLayout):
         make_wsms(0, 4, D_HALF, D_HALF, LAM)

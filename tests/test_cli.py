@@ -44,12 +44,14 @@ from nearfield_crb.errors import (
 from nearfield_crb.experiment_cli import (
     CSV_COLUMNS,
     METHODS,
+    ConfigError,
     ScenarioConfig,
     build_layout,
     format_cell,
     main,
     run_point,
     run_sweep,
+    validate_config,
 )
 
 
@@ -636,7 +638,7 @@ def single_point_rows(cfg, points):
         try:
             geom = SceneGeometry(r=r, theta=theta, big_r=cfg.R, vartheta=cfg.vartheta)
             nf = separate.bundle_fisher(layout, geom, cfg.N_r, model=cfg.model)
-            bounds = experiment_cli._bounds(cfg, beta_sq, nf)
+            bounds = experiment_cli._bounds(cfg, layout, beta_sq, cfg.sigma_n_sq, nf)
             rows.append(experiment_cli._row(cfg, r, theta, *bounds))
         except CrbEngineError as exc:
             rows.append(experiment_cli._row(cfg, r, theta, None, None, error_code(exc)))
@@ -983,7 +985,8 @@ AGREEMENT_SCENES = [
     ["--frequency_hz", "1e-150", "--r", "2e157", "--R", "1e158", "--N_r", "4"],
     ["--model", "hspw", "--frequency_hz", "1e-150", "--r", "2e157", "--R", "1e158", "--N_r", "4"],
     ["--frequency_hz", "3e-298"],
-    ["--frequency_hz", "3e-298", "--layout", "ua"],  # the mirror's spacing overflows
+    ["--frequency_hz", "3e-298", "--layout", "ua"],  # the aperture overflows a float
+    ["--frequency_hz", "3e-298", "--K", "12"],  # the end elements' coordinates would overflow
     # the subarray pitch over r underflows to zero in the hybrid closed form
     ["--model", "hspw", "--frequency_hz", "1e100", "--r", "1e250"],
 ]
@@ -1087,6 +1090,33 @@ def test_figure_script_records_each_figure_in_a_summary(monkeypatch, capsys, tmp
         want = io.StringIO()
         experiment_cli.write_rows(rows, want)
         assert (tmp_path / f"{name}.csv").read_text(encoding="utf-8") == want.getvalue()
+
+
+# ua mirrors spaced near 1e152 m, where the derivative norms of the inner
+# products overflow
+OVERFLOWING_MIRRORS = [
+    {"layout": "ua", "K": 2, "M": 2, "I": 516, "N_r": 4, "theta": 0.3},
+    {"model": "pw", "layout": "ua", "K": 2, "M": 2, "I": 580, "N_r": 4, "theta": 0.3},
+]
+
+
+def test_route_sample_gives_each_accepted_scene_a_row_with_a_known_code(monkeypatch):
+    # the first scenes of each stratum of the route scan; a RuntimeWarning
+    # is an error under pytest here
+    script = Path(__file__).resolve().parent.parent / "scripts" / "scan_routes.py"
+    monkeypatch.setattr(sys, "path", [*sys.path])
+    scan = runpy.run_path(str(script))
+    scenes = [fields for _, fields in scan["scenes"](scan["SEED"], 200)] + OVERFLOWING_MIRRORS
+    for fields in scenes:
+        for method in METHODS:
+            try:
+                cfg = validate_config(ScenarioConfig(**fields, method=method))
+            except ConfigError:
+                continue
+            row = run_point(cfg)
+            assert row["method"] == method
+            # KNOWN: "ok" and the error_code of each CrbEngineError subclass
+            assert (row["error_code"] or "ok") in scan["KNOWN"], (fields, method)
 
 
 def test_unwritable_out_path_exits_one(capsys, tmp_path):
