@@ -152,7 +152,7 @@ def load_config_file(path: str) -> dict:
 
 
 def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
-    """Structural checks; geometry-domain problems surface later as rows."""
+    """Structural checks, the alias ``closed`` read as ``riemann``; scene problems become rows."""
     if not cfg.frequency_hz > 0.0 or not math.isfinite(cfg.frequency_hz):
         raise ConfigError(f"frequency_hz must be positive, got {cfg.frequency_hz!r}")
     if not math.isfinite(cfg.snr_db):
@@ -166,6 +166,8 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         raise ConfigError(f"model must be one of {MODELS}, got {cfg.model!r}")
     if cfg.layout not in LAYOUTS:
         raise ConfigError(f"layout must be one of {LAYOUTS}, got {cfg.layout!r}")
+    if cfg.method == "closed":
+        cfg = replace(cfg, method="riemann")
     if cfg.method not in METHODS:
         raise ConfigError(f"method must be one of {METHODS} (or 'closed'), got {cfg.method!r}")
     if cfg.model == "pw" and cfg.method == "riemann":
@@ -190,8 +192,6 @@ def scenario_from_args(args: argparse.Namespace) -> ScenarioConfig:
         flag = getattr(args, name, None)
         if flag is not None:
             values[name] = flag
-    if values.get("method") == "closed":
-        values["method"] = "riemann"
     return validate_config(ScenarioConfig(**values))
 
 

@@ -335,12 +335,12 @@ def amfs(tx: SteeringBundle, rx: SteeringBundle) -> AmfSet:
     )
 
 
-# Multiplier for the round-off floors of the Fisher diagonal.  Measured
-# residue on exactly-degenerate scenarios (broadside two-subarray hybrid
-# layouts, where q22 is zero by symmetry) stays within ~60 eps of the
-# pre-cancellation magnitude; the weakest genuine q22 encountered in the
-# sweep regimes sits above 1.6e4 eps.  512 splits the two with two orders
-# of margin on each side.
+# Multiplier for the round-off floors of the Fisher diagonal.  Against the
+# mpmath block of tests/truth.py, fig3-fig9's 21 exactly degenerate direct
+# blocks (fig7's broadside K=2 hybrid layouts, q22 zero by symmetry) leave at
+# most 4.3 eps of the pre-cancellation magnitude; the weakest genuine q22 is
+# 529 eps, only 3.3% above the floor (fig5's hybrid K=3, I=3, r=10,
+# theta=-1.5, whose range bound is 2.0e-3 off the truth's).
 NOISE_FLOOR_MULT = 512.0
 
 # A (theta, r) block whose determinant is at or below this is singular.

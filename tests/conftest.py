@@ -67,12 +67,6 @@ def coordinate_angle_at_rx(r, theta, big_r, vartheta=0.0):
     return math.atan2(cross, dot)
 
 
-def brute_element_distances(positions, r, theta):
-    """Per-element target distances from raw coordinates."""
-    tx, ty = target_xy(r, theta)
-    return [math.hypot(tx - p, ty) for p in positions]
-
-
 def brute_sums(positions, r, theta):
     """The five element sums, accumulated with a plain python loop.
 

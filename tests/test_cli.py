@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import separate_bundles as separate
 from nearfield_crb import (
     SceneGeometry,
     bundle_crb,
@@ -98,6 +97,9 @@ def test_method_closed_is_riemann_alias(capsys):
     code, out = run_cli(capsys, ["crb", *DESK, "--method", "closed"])
     assert code == 0
     assert parse_rows(out)[0]["method"] == "riemann"
+    assert validate_config(ScenarioConfig(method="closed")).method == "riemann"
+    with pytest.raises(ConfigError, match="closed-form"):
+        validate_config(ScenarioConfig(model="pw", method="closed"))
 
 
 def test_oracle_method_runs(capsys):
@@ -629,22 +631,6 @@ def test_closed_form_edge_where_nu1_vanishes_keeps_its_code_in_a_grid():
     assert [row["error_code"] for row in rows] == ["domain_error", "domain_error", ""]
 
 
-def single_point_rows(cfg, points):
-    """Direct-route rows point by point, through the single-point formulas."""
-    layout = build_layout(cfg)
-    beta_sq = received_gain_sq(cfg.alpha, cfg.N_r, layout.n_elements)
-    rows = []
-    for r, theta in points:
-        try:
-            geom = SceneGeometry(r=r, theta=theta, big_r=cfg.R, vartheta=cfg.vartheta)
-            nf = separate.bundle_fisher(layout, geom, cfg.N_r, model=cfg.model)
-            bounds = experiment_cli._bounds(cfg, layout, beta_sq, cfg.sigma_n_sq, nf)
-            rows.append(experiment_cli._row(cfg, r, theta, *bounds))
-        except CrbEngineError as exc:
-            rows.append(experiment_cli._row(cfg, r, theta, None, None, error_code(exc)))
-    return rows
-
-
 def assert_rows_equal(got, want):
     # repr tells -0.0 from 0.0 and compares NaN, which == on rows would not
     assert [repr(row) for row in got] == [repr(row) for row in want]
@@ -666,7 +652,7 @@ def test_direct_sweep_rows_match_single_point_formulas(monkeypatch, model, n_r, 
     rows = run_sweep(cfg, axis, start, stop, 25)
     grid = [float(v) for v in np.linspace(start, stop, 25)]
     points = [(v, cfg.theta) if axis == "r" else (cfg.r, v) for v in grid]
-    assert_rows_equal(rows, single_point_rows(cfg, points))
+    assert_rows_equal(rows, [run_point(replace(cfg, r=r, theta=theta)) for r, theta in points])
 
 
 @pytest.mark.parametrize("model", ["sw", "hspw", "pw"])
@@ -682,7 +668,7 @@ def test_direct_error_rows_inside_a_chunk_match_single_points(monkeypatch, model
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         rows = experiment_cli._rows_on_layout(cfg, points)
-    assert_rows_equal(rows, single_point_rows(cfg, points))
+    assert_rows_equal(rows, [run_point(replace(cfg, r=r, theta=theta)) for r, theta in points])
     codes = [row["error_code"] for row in rows]
     assert codes[3] == codes[6] == "domain_error"
     if model == "sw":
@@ -700,7 +686,7 @@ def test_overflowing_layout_sweep_matches_single_points(model, n_r):
         warnings.simplefilter("error", RuntimeWarning)
         rows = run_sweep(cfg, "r", 1.0, 30.0, 7)
     grid = [float(v) for v in np.linspace(1.0, 30.0, 7)]
-    assert_rows_equal(rows, single_point_rows(cfg, [(v, cfg.theta) for v in grid]))
+    assert_rows_equal(rows, [run_point(replace(cfg, r=v)) for v in grid])
     assert all(row["error_code"] for row in rows)
 
 
@@ -795,7 +781,7 @@ def test_direct_chunks_of_only_invalid_scenes_match_single_points(monkeypatch, m
     rows = run_sweep(cfg, axis, start, stop, 11)
     grid = [float(v) for v in np.linspace(start, stop, 11)]
     points = [(v, cfg.theta) if axis == "r" else (cfg.r, v) for v in grid]
-    assert_rows_equal(rows, single_point_rows(cfg, points))
+    assert_rows_equal(rows, [run_point(replace(cfg, r=r, theta=theta)) for r, theta in points])
     assert sum(row["error_code"] == "domain_error" for row in rows) >= 4
 
 
@@ -809,9 +795,8 @@ def test_huge_range_is_a_quiet_error_row(monkeypatch, model):
         warnings.simplefilter("error", RuntimeWarning)
         row = run_point(cfg)
         rows = experiment_cli._rows_on_layout(cfg, points)
-        want = single_point_rows(cfg, points)
+        want = [run_point(replace(cfg, r=r, theta=theta)) for r, theta in points]
     assert row["error_code"] == "singular_fisher"
-    assert_rows_equal([row], want[:1])
     assert_rows_equal(rows, want)
 
 

@@ -2,7 +2,9 @@
 
 The antiderivative certificates (finite differences and ``quad``) are A8's,
 in test_acceptance.py; the midpoint error's decay over K is ``validate``'s
-``closed_sums_convergence``, run case by case in test_cli.py.
+``closed_sums_convergence``, run case by case in test_cli.py.  The one-pass
+evaluators on arrays and grids are held to each formula's own float at
+every point, bit for bit; the exact blocks' values are test_truth.py's.
 """
 
 import math
@@ -12,7 +14,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import separate_antiderivatives as separate
 from conftest import (
     D_HALF,
     brute_sums,
@@ -30,6 +31,7 @@ from nearfield_crb import (
     subarray_centers,
 )
 from nearfield_crb import closed_form
+from nearfield_crb.geometry import GeometryGrid
 from nearfield_crb.closed_form import (
     THETA_RIEMANN_CAP,
     f_artanh_shift,
@@ -346,7 +348,7 @@ def test_hspw_theta0_sums_domain():
 
 
 # ---------------------------------------------------------------------------
-# one pass per edge against the separate formulas
+# arrays and grids against each formula's float at each point
 # ---------------------------------------------------------------------------
 
 SEPARATE_FORMULAS = (
@@ -366,15 +368,14 @@ closed_angles = st.one_of(
 )
 
 
-def outcome(f, *args):
-    """repr of f's value, or of the type and message of the DomainError it raises.
-
-    Equal reprs mean equal bits, signed zeros included.
-    """
+def assert_entry_is_float(got, f, *point):
+    """got is f's float at point, bit for bit, or NaN exactly where f raises DomainError."""
     try:
-        return repr(f(*args))
-    except DomainError as exc:
-        return repr((type(exc), str(exc)))
+        want = f(*point)
+    except DomainError:
+        assert math.isnan(got), (f.__name__, point)
+    else:
+        assert repr(got) == repr(want), (f.__name__, point)
 
 
 @given(x=edge_offsets, theta=closed_angles)
@@ -383,13 +384,14 @@ def outcome(f, *args):
 @example(x=-2.5, theta=0.0)
 @settings(deadline=None)
 def test_antiderivatives_are_bit_identical_to_separate_formulas(x, theta):
+    # each public formula on one-element arrays against its float
     for name in SEPARATE_FORMULAS:
-        assert outcome(getattr(closed_form, name), x, theta) == outcome(
-            getattr(separate, name), x, theta
-        ), name
+        f = getattr(closed_form, name)
+        (got,) = f(np.array([x]), np.array([theta])).tolist()
+        assert_entry_is_float(got, f, x, theta)
 
 
-# where each separate formula sits in the one-pass tuples
+# where each public formula sits in the one-pass tuples
 FIRST_LEVEL_ENTRIES = {
     "f_x2_over_nu1": 0, "f_x_over_sqrt_nu1": 1, "f_one_over_sqrt_nu1": 2, "f_x_over_nu1": 3,
 }
@@ -400,19 +402,14 @@ SECOND_LEVEL_ENTRIES = {
 
 
 def assert_entries_match_separate(xs, thetas, x_arr, angle):
-    """Each array entry is the separate formula's float, or NaN where it raises."""
+    """Each array entry is the public formula's float at its point, or NaN where it raises."""
     for level, entries in ((closed_form._first_level, FIRST_LEVEL_ENTRIES),
                            (closed_form._second_level, SECOND_LEVEL_ENTRIES)):
         out = level(x_arr, angle, True)
         for name, i in entries.items():
             assert out[i].shape == x_arr.shape
             for x, theta, got in zip(xs, thetas, out[i].tolist()):
-                try:
-                    want = getattr(separate, name)(x, theta)
-                except DomainError:
-                    assert math.isnan(got), (name, x, theta)
-                else:
-                    assert repr(got) == repr(want), (name, x, theta)
+                assert_entry_is_float(got, getattr(closed_form, name), x, theta)
 
 
 @given(xs=st.lists(edge_offsets, min_size=1, max_size=8), theta=closed_angles)
@@ -441,13 +438,31 @@ def test_one_pass_on_a_grid_of_edges_and_angles_matches_separate_formulas(points
 @example(shape=(3, 8, 2), r=2.0, theta=0.0)
 @settings(deadline=None)
 def test_closed_sums_are_bit_identical_to_separate_formulas(shape, r, theta):
+    # the drawn scene in a grid with two others, so that at least two
+    # differ (a grid of one scene runs as floats), against each alone
     lay = std_wsms(*shape)
-    geom = SceneGeometry(r=r, theta=theta, big_r=50.0)
-    for name in ("sw_sums_riemann", "hspw_sums_closed"):
-        assert outcome(getattr(closed_form, name), lay, geom) == outcome(
-            getattr(separate, name), lay, geom
-        ), name
-    assert outcome(sw_theta0_sums, lay, r) == outcome(separate.sw_theta0_sums, lay, r)
+    scenes = [SceneGeometry(r=r, theta=theta, big_r=50.0), GEOM,
+              SceneGeometry(r=0.7, theta=-1.2, big_r=50.0)]
+    for sums in (sw_sums_riemann, hspw_sums_closed):
+        assert_grid_matches_points(sums, lay, GeometryGrid.of(scenes), scenes)
+    ranges = [g.r for g in scenes]
+    assert_grid_matches_points(sw_theta0_sums, lay, np.array(ranges), ranges)
+
+
+def assert_grid_matches_points(sums, lay, grid, points):
+    """Each point's entries of sums on the grid are its float sums alone, bit for bit.
+
+    A point whose float sums raise has a NaN among its entries instead.
+    """
+    with np.errstate(all="ignore"):
+        cols = [np.broadcast_to(v, (len(points),)).tolist() for v in unpack(sums(lay, grid))]
+    for point, got in zip(points, zip(*cols)):
+        try:
+            want = tuple(float(v) for v in unpack(sums(lay, point)))
+        except DomainError:
+            assert any(math.isnan(v) for v in got), (sums.__name__, point)
+        else:
+            assert repr(got) == repr(want), (sums.__name__, point)
 
 
 def test_artanh_rounding_onto_one_raises_in_the_sums_as_before():

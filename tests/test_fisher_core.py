@@ -7,7 +7,6 @@ import warnings
 import numpy as np
 import pytest
 
-import separate_bundles as separate
 from conftest import seeded, std_wsms
 from nearfield_crb import (
     DegenerateGeometry,
@@ -31,7 +30,6 @@ from nearfield_crb.fisher_core import (
     amfs,
     composite_bundle,
     hspw_tx_bundle,
-    normalized_fisher,
     pw_tx_bundle,
     rx_bundle,
     sw_tx_bundle,
@@ -199,8 +197,8 @@ AMF_FIELDS = ("htheta_sq", "hr_sq", "h_sq", "htheta_h", "hr_h", "htheta_hr")
 @pytest.mark.parametrize("shape", [(1, 1, 0), (2, 3, 0), (3, 8, 2), (12, 128, 3)])
 @pytest.mark.parametrize("model", ["sw", "hspw", "pw"])
 def test_batched_bundles_and_amfs_are_bit_identical_to_single_points(model, shape):
-    # every row of one batch against the single-point formulas of
-    # separate_bundles, word for word; theta = +-1.5 is near endfire
+    # every row of one batch, and its amfs, against the one-point bundle,
+    # word for word; theta = +-1.5 is near endfire
     lay = std_wsms(*shape)
     geoms = [
         SceneGeometry(r=r, theta=theta, big_r=20.0)
@@ -210,13 +208,12 @@ def test_batched_bundles_and_amfs_are_bit_identical_to_single_points(model, shap
     batch = fisher_core.tx_bundles(lay, geoms, model)
     assert len(batch) == len(geoms)
     for geom, tx in zip(geoms, batch):
-        want = separate.TX_BUNDLES[model](lay, geom)
-        single = TX_BUNDLES[model](lay, geom)
-        for g, s, w in zip(bits(tx), bits(single), bits(want)):
-            assert np.array_equal(g, w) and np.array_equal(s, w)
+        want = TX_BUNDLES[model](lay, geom)
+        for g, w in zip(bits(tx), bits(want)):
+            assert np.array_equal(g, w)
         for n_r in (1, 4, 35):
             rx = rx_bundle(lay, n_r, geom)
-            got, ref = amfs(tx, rx), separate.amfs(want, rx)
+            got, ref = amfs(tx, rx), amfs(want, rx)
             for name in AMF_FIELDS:
                 assert word_bits(getattr(got, name)) == word_bits(getattr(ref, name)), name
 
@@ -240,9 +237,9 @@ def test_batched_bundles_give_each_point_its_own_error():
             if code is not None:
                 assert type(tx) is code
                 with pytest.raises(code):
-                    separate.TX_BUNDLES[model](lay, geom)
+                    TX_BUNDLES[model](lay, geom)
             else:
-                want = separate.TX_BUNDLES[model](lay, geom)
+                want = TX_BUNDLES[model](lay, geom)
                 for g, w in zip(bits(tx), bits(want)):
                     assert np.array_equal(g, w)
 
