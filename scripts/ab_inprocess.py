@@ -68,9 +68,14 @@ def compare(workloads, runs: dict, workload: str) -> str:
             f"{total['change'] / total['parent']:.3f}, outputs differ on {differ} of {len(ops)} ops")
 
 
-def main(argv: list) -> int:
+def side_by_side(argv: list, each, usage: str) -> int:
+    """Load PARENT and CHANGE as in the usage, then call each(workloads, runs, workload).
+
+    runs maps each side to its (run_op, ScenarioConfig); the workloads are
+    those named after the two checkouts, or all of them.
+    """
     if len(argv) < 2:
-        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        print(usage, file=sys.stderr)
         return 2
     parent, change = (Path(arg).resolve() for arg in argv[:2])
     sys.path.insert(0, str(change / "bench"))
@@ -85,8 +90,13 @@ def main(argv: list) -> int:
         runs = {side: runner(workloads, root, Path(tmp), f"nfc_{side}")
                 for side, root in zip(SIDES, (parent, change))}
         for workload in argv[2:] or workloads.WORKLOADS:
-            print(compare(workloads, runs, workload), flush=True)
+            each(workloads, runs, workload)
     return 0
+
+
+def main(argv: list) -> int:
+    return side_by_side(argv, lambda *args: print(compare(*args), flush=True),
+                        __doc__.split("\n\n")[1])
 
 
 if __name__ == "__main__":

@@ -16,28 +16,39 @@ composite vector is kron(conj(tx), rx), matching ideal training (any unitary
 training map leaves all the inner products below unchanged; the oracle can
 check that explicitly).
 
-The bundle route never builds that length N_t*N_r vector: ``amfs`` takes
-each composite inner product factor by factor, as sums of products of
-transmit-side and receive-side inner products (the mixed-product rule
-<a (x) b, c (x) d> = <a, c><b, d>), at O(N_t + N_r) cost.
-``full_fisher_oracle`` alone builds that vector on a product path, since it
-is the independent check.  ``composite_bundle`` builds it with its
-derivatives but has no caller in the package: it is the tests' reference
-for ``amfs``, and the benchmark's tracer and reference recorder name it.
-It moves out of the package once the recorder builds its own composite
-vector (ROADMAP item 2).
+The bundle route never builds that length N_t*N_r vector.  By the
+mixed-product rule <a (x) b, c (x) d> = <a, c><b, d>, every composite inner
+product is a short sum of products of one transmit-side and one
+receive-side inner product, so the Fisher inner products are one reduction
+(``_amf_set``) of two 3x3 Gram matrices of (value, d_theta, d_r): T on the
+transmit side and R on the receive side.  Each wave model says how its T
+is built (``_TX_GRAMS``):
 
-Transmit bundles are built per batch of points on one layout
+* ``sw`` and ``hspw`` take T from their transmit vectors, with ``np.vdot``;
+* ``pw`` takes T from the planar pair over the K subarray centres and the
+  one over the M in-subarray offsets (``_pw_tx_grams``): its vectors are
+  Kronecker products, so no K*M vector is formed.
+
+R comes from the receive vectors; the one-element receiver is one constant
+bundle whose Gram is taken once.  ``amfs`` is the same reduction for a
+given pair of bundles.  ``full_fisher_oracle`` alone builds the composite
+vector on a product path, since it is the independent check.
+``composite_bundle`` builds it with its derivatives but has no caller in
+the package: it is the tests' reference for ``amfs``, and the benchmark's
+tracer and reference recorder name it.  It moves out of the package once
+the recorder builds its own composite vector (ROADMAP item 2).
+
+Transmit bundles and Grams are built per batch of points on one layout
 (``tx_bundles``, ``bundle_fishers``): the element positions, k0 and the
 in-subarray offsets are computed once, and each vector is one row of a
 (points, elements) array.  Every element keeps the single point's
-operations in their order, so each row is bit for bit the bundle of its
-point alone; a single point is the one-row batch.  A batch with a point
-that fails raises as that point would, and each of its points is then
-built alone (``errors.each_point``, the closed forms' rule too), so every
-point gets its own bundle or error.  ``bundle_fishers`` bounds its own
-memory: it reduces each batch of ``BATCH_ELEMENTS`` transmit elements to
-its Fisher blocks before it builds the next.
+operations in their order, so each row is bit for bit the bundle (and each
+Gram the Gram) of its point alone; a single point is the one-row batch.  A
+batch with a point that fails raises as that point would, and each of its
+points is then built alone (``errors.each_point``, the closed forms' rule
+too), so every point gets its own bundle or error.  ``bundle_fishers``
+bounds its own memory: it reduces each batch of ``BATCH_ELEMENTS``
+transmit elements to its Fisher blocks before it builds the next.
 """
 
 from __future__ import annotations
@@ -192,10 +203,14 @@ def _planar_pair(x: np.ndarray, sin, cos, k0: float):
     return value, value * (1j * k0 * x * cos)
 
 
+def _rows(*stacks):
+    """The rows of each stack, taken together; a 1-D vector is one row."""
+    return zip(*(np.atleast_2d(v) for v in stacks))
+
+
 def _bundles(value, d_theta, d_r) -> list:
-    """One bundle per row of the stacked vectors; a 1-D vector is one row."""
-    rows = (np.atleast_2d(v) for v in (value, d_theta, d_r))
-    return [SteeringBundle(*row) for row in zip(*rows)]
+    """One bundle per row of the stacked vectors."""
+    return [SteeringBundle(*row) for row in _rows(value, d_theta, d_r)]
 
 
 def _sw_tx_bundles(layout: ArrayLayout, geoms: list) -> list:
@@ -230,6 +245,112 @@ def _hspw_tx_bundles(layout: ArrayLayout, geoms: list) -> list:
 _TX_BATCHES = {"sw": _sw_tx_bundles, "hspw": _hspw_tx_bundles, "pw": _pw_tx_bundles}
 
 
+def _tx_gram(tx: SteeringBundle) -> tuple:
+    """Rows of the transmit Gram matrix t_ij = vdot(t_i, t_j).
+
+    0, 1, 2 index (value, d_theta, d_r).  ``_amf_set`` never reads t_12, so
+    it is not taken and left None.
+    """
+    t0, t1, t2 = tx.value, tx.d_theta, tx.d_r
+    vdot = np.vdot
+    return (
+        (vdot(t0, t0), vdot(t0, t1), vdot(t0, t2)),
+        (vdot(t1, t0), vdot(t1, t1), None),
+        (vdot(t2, t0), vdot(t2, t1), vdot(t2, t2)),
+    )
+
+
+def _rx_gram(rx: SteeringBundle) -> tuple:
+    """Rows of the receive Gram matrix r_ij = vdot(r_i, r_j); r_21 is never read.
+
+    The one-element receiver's Gram is the constant ``_ONE_ELEMENT_GRAM``.
+    """
+    if rx is _ONE_ELEMENT_RX:
+        return _ONE_ELEMENT_GRAM
+    r0, r1, r2 = rx.value, rx.d_theta, rx.d_r
+    vdot = np.vdot
+    return (
+        (vdot(r0, r0), vdot(r0, r1), vdot(r0, r2)),
+        (vdot(r1, r0), vdot(r1, r1), vdot(r1, r2)),
+        (vdot(r2, r0), None, vdot(r2, r2)),
+    )
+
+
+def _read_only(values) -> np.ndarray:
+    v = np.array(values, dtype=complex)
+    v.flags.writeable = False
+    return v
+
+
+# The one-element receiver (``rx_bundle`` at n_r = 1) is one shared bundle.
+# Its Gram is taken once, by the vdots of a copy: ``_rx_gram`` of the bundle
+# itself returns this constant.
+_ONE_ELEMENT_RX = SteeringBundle(_read_only([1.0]), _read_only([0.0]), _read_only([0.0]))
+_ONE_ELEMENT_GRAM = _rx_gram(replace(_ONE_ELEMENT_RX))
+
+
+def _vector_grams(build):
+    """A model's transmit Grams taken from its vectors (``_tx_gram``)."""
+    return lambda layout, geoms: [_tx_gram(tx) for tx in build(layout, geoms)]
+
+
+def _pair_gram(u0, u1) -> tuple:
+    """Rows of the 2x2 Gram matrix vdot(u_i, u_j), in Python complex numbers.
+
+    Their products overflow to inf or NaN without a warning, which
+    ``_amf_set`` then rejects.  vdot(u1, u0) is the conjugate of vdot(u0, u1).
+    """
+    g01 = complex(np.vdot(u0, u1))
+    return (complex(np.vdot(u0, u0)), g01), (g01.conjugate(), complex(np.vdot(u1, u1)))
+
+
+def _pw_tx_grams(layout: ArrayLayout, geoms: list) -> list:
+    """Planar-wave transmit Grams from K- and M-length factors.
+
+    An element's phase k0 (c_k + t_m) sin(theta) splits into its subarray
+    centre's and its in-subarray offset's, on every layout kind, so the
+    vectors are Kronecker products: value = w0 (x) a0 and d_theta =
+    w1 (x) a0 + w0 (x) a1, with (w0, w1) the planar pair over the K centres
+    and (a0, a1) the one over the M offsets; d_r = 0.  By the mixed-product
+    rule vdot(w (x) a, w' (x) a') = vdot(w, w') vdot(a, a'), so with
+    W_ij = vdot(w_i, w_j) and A_ij = vdot(a_i, a_j) the Gram needs no K*M
+    vector.  The element positions are still formed once per call: where
+    c_k + t_m loses an offset against a wide gap, the layout raises
+    ElementCoincidence as it does for the vectors.
+    """
+    element_positions(layout)
+    k0 = 2.0 * math.pi / layout.lam
+    _, sin, cos = _targets(geoms)
+    w = _planar_pair(subarray_centers(layout), sin, cos, k0)
+    a = _planar_pair(centred_grid(layout.M, layout.d), sin, cos, k0)
+    grams = []
+    for w0, w1, a0, a1 in _rows(*w, *a):
+        (w00, w01), (w10, w11) = _pair_gram(w0, w1)
+        (a00, a01), (a10, a11) = _pair_gram(a0, a1)
+        grams.append((
+            (w00 * a00, w01 * a00 + w00 * a01, 0j),
+            (w10 * a00 + w00 * a10, w11 * a00 + w10 * a01 + w01 * a10 + w00 * a11, None),
+            (0j, 0j, 0j),
+        ))
+    return grams
+
+
+# model -> how its transmit Grams are built; the bundle route's only table
+_TX_GRAMS = {
+    "sw": _vector_grams(_sw_tx_bundles),
+    "hspw": _vector_grams(_hspw_tx_bundles),
+    "pw": _pw_tx_grams,
+}
+
+
+def _build_each(builds: dict, layout: ArrayLayout, geoms: list, model: str) -> list:
+    """builds[model] at each geometry, in one batch where it can (``errors.each_point``)."""
+    if model not in builds:
+        return [DomainError(f"unknown wave model {model!r}")] * len(geoms)
+    build = builds[model]
+    return each_point(lambda batch: build(layout, batch), lambda g: build(layout, [g])[0], geoms)
+
+
 def tx_bundles(layout: ArrayLayout, geoms: list, model: str) -> list:
     """The transmit bundle at each geometry, all built in one pass.
 
@@ -240,10 +361,17 @@ def tx_bundles(layout: ArrayLayout, geoms: list, model: str) -> list:
     like a single point, and then each point is built alone
     (``errors.each_point``).
     """
-    if model not in _TX_BATCHES:
-        return [DomainError(f"unknown wave model {model!r}")] * len(geoms)
-    build = _TX_BATCHES[model]
-    return each_point(lambda batch: build(layout, batch), lambda g: build(layout, [g])[0], geoms)
+    return _build_each(_TX_BATCHES, layout, geoms, model)
+
+
+def _tx_grams(layout: ArrayLayout, geoms: list, model: str) -> list:
+    """The transmit Gram at each geometry, as ``tx_bundles`` builds bundles.
+
+    sw and hspw take theirs from the vectors; pw from its factors
+    (``_pw_tx_grams``).  Entry p is bit for bit the Gram at geoms[p] alone,
+    or the engine error the point raises.
+    """
+    return _build_each(_TX_GRAMS, layout, geoms, model)
 
 
 def sw_tx_bundle(layout: ArrayLayout, geom: SceneGeometry) -> SteeringBundle:
@@ -277,8 +405,7 @@ def rx_bundle(layout: ArrayLayout, n_r: int, geom: SceneGeometry) -> SteeringBun
     if n_r == 1:
         # one element has no aperture, so the receiver's placement (tilt,
         # or a target at its centre) never enters the bound
-        zero = np.zeros(1, dtype=complex)
-        return SteeringBundle(np.ones(1, dtype=complex), zero, zero.copy())
+        return _ONE_ELEMENT_RX
     rho_sq, sinphi_theta, sinphi_r = arrival_triangle(geom)
     sinphi = geom.r * math.sin(geom.theta) / math.sqrt(rho_sq)
 
@@ -302,26 +429,28 @@ def composite_bundle(tx: SteeringBundle, rx: SteeringBundle) -> SteeringBundle:
 def amfs(tx: SteeringBundle, rx: SteeringBundle) -> AmfSet:
     """Inner products of the composite bundle kron(conj(tx), rx), factor by factor.
 
+    The reduction of the transmit and receive Gram matrices (``_amf_set``);
+    no vector of length N_t*N_r is formed.
+    """
+    return _amf_set(_tx_gram(tx), _rx_gram(rx))
+
+
+def _amf_set(t: tuple, r: tuple) -> AmfSet:
+    """The composite inner products from the two 3x3 Gram matrices.
+
     vdot(conj(a) (x) b, conj(c) (x) d) = vdot(c, a) * vdot(b, d), so each
     entry is a short sum of products of transmit-side and receive-side
-    inner products; no vector of length N_t*N_r is formed.  With the
-    composite vectors value = conj(t0) (x) r0, d_theta = conj(t1) (x) r0 +
-    conj(t0) (x) r1 and d_r = conj(t2) (x) r0 + conj(t0) (x) r2, where
-    0, 1, 2 index (value, d_theta, d_r), each entry below adds its terms
-    in that order, starting from 0.  t_ij = vdot(t_i, t_j) and r_ij
-    likewise; t_12 and r_21 never enter.  A derivative norm t11, t22, r11 or
-    r22 that is not finite raises SingularFisher before any product can
-    overflow: a ``ua`` mirror spaced near the float range squares its phase
-    rates to inf.
+    inner products.  With the composite vectors value = conj(t0) (x) r0,
+    d_theta = conj(t1) (x) r0 + conj(t0) (x) r1 and d_r = conj(t2) (x) r0 +
+    conj(t0) (x) r2, where 0, 1, 2 index (value, d_theta, d_r), each entry
+    below adds its terms in that order, starting from 0.  t_ij = vdot(t_i,
+    t_j) and r_ij likewise; t_12 and r_21 never enter.  A derivative norm
+    t11, t22, r11 or r22 that is not finite raises SingularFisher before any
+    product can overflow: a ``ua`` mirror spaced near the float range
+    squares its phase rates to inf.
     """
-    t0, t1, t2 = tx.value, tx.d_theta, tx.d_r
-    r0, r1, r2 = rx.value, rx.d_theta, rx.d_r
-    t00, t01, t02 = np.vdot(t0, t0), np.vdot(t0, t1), np.vdot(t0, t2)
-    t10, t11 = np.vdot(t1, t0), np.vdot(t1, t1)
-    t20, t21, t22 = np.vdot(t2, t0), np.vdot(t2, t1), np.vdot(t2, t2)
-    r00, r01, r02 = np.vdot(r0, r0), np.vdot(r0, r1), np.vdot(r0, r2)
-    r10, r11, r12 = np.vdot(r1, r0), np.vdot(r1, r1), np.vdot(r1, r2)
-    r20, r22 = np.vdot(r2, r0), np.vdot(r2, r2)
+    (t00, t01, t02), (t10, t11, _), (t20, t21, t22) = t
+    (r00, r01, r02), (r10, r11, r12), (r20, _, r22) = r
     if not (abs(t11) < math.inf and abs(t22) < math.inf
             and abs(r11) < math.inf and abs(r22) < math.inf):
         raise SingularFisher("a derivative norm is not finite")
@@ -479,12 +608,12 @@ def bundle_fishers(layout: ArrayLayout, geoms: list, n_r: int, *, model: str = "
 
 
 def _batch_fishers(layout: ArrayLayout, geoms: list, n_r: int, model: str) -> list:
-    """The blocks (or errors) of one batch, its transmit bundles built in one pass."""
+    """The blocks (or errors) of one batch, its transmit Grams built in one pass."""
 
-    def fisher(geom, tx):  # a transmit error first
-        return normalized_fisher(amfs(unwrap(tx), rx_bundle(layout, n_r, geom)))
+    def fisher(geom, t):  # a transmit error first
+        return normalized_fisher(_amf_set(unwrap(t), _rx_gram(rx_bundle(layout, n_r, geom))))
 
-    return [outcome(fisher, *point) for point in zip(geoms, tx_bundles(layout, geoms, model))]
+    return [outcome(fisher, *point) for point in zip(geoms, _tx_grams(layout, geoms, model))]
 
 
 def full_fisher_oracle(

@@ -737,6 +737,33 @@ def test_extreme_finite_input_is_a_singular_row(capsys, method, scene):
     assert row["crb_theta_rad2"] == row["crb_r_m2"] == ""
 
 
+# planar-wave scenes where the factored transmit Gram meets the float range:
+# (flags, error code, crb_theta_rad2 on the direct route or None)
+EXTREME_PLANAR_SCENES = [
+    # a ua mirror spaced near 1e149 m: the phase rates square to about 1e304
+    (["--layout", "ua", "--K", "2", "--M", "2", "--I", "505", "--N_r", "4"], "singular_fisher", None),
+    # ... and near 6e170 m, where products of the K- and M-length factors overflow
+    (["--layout", "ua", "--K", "3", "--M", "2", "--I", "578", "--N_r", "35"], "singular_fisher", None),
+    # no range information, so the angle bound stands beside the code
+    (["--frequency_hz", "1e300"], "singular_fisher", 1.0695527756865474e-08),
+]
+
+
+@pytest.mark.parametrize("scene, code, crb_theta", EXTREME_PLANAR_SCENES)
+def test_extreme_planar_input_is_a_quiet_singular_row(capsys, scene, code, crb_theta):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        exit_code, out = run_cli(capsys, ["crb", "--model", "pw", "--theta", "0.3", *scene])
+    assert exit_code == 1
+    row = parse_rows(out)[0]
+    assert row["error_code"] == code
+    assert row["crb_r_m2"] == ""
+    if crb_theta is None:
+        assert row["crb_theta_rad2"] == ""
+    else:
+        assert math.isclose(float(row["crb_theta_rad2"]), crb_theta, rel_tol=1e-12)
+
+
 @pytest.mark.parametrize("method", METHODS)
 def test_sweep_to_the_top_of_the_float_range_never_aborts(capsys, method):
     code, out = run_cli(capsys, ["sweep", "--method", method, "--axis", "r",
@@ -932,9 +959,10 @@ def test_a_batch_that_fails_otherwise_raises():
 
 def test_no_figure_transmit_batch_falls_back_point_by_point(monkeypatch):
     # fig3-fig9 build 98 transmit batches of two or more points and none of
-    # them raises, so building points alone costs the figures nothing
+    # them raises, so building points alone costs the figures nothing; the
+    # bundle route builds its batches through the transmit Gram table
     batches = []
-    for model, build in list(fisher_core._TX_BATCHES.items()):
+    for model, build in list(fisher_core._TX_GRAMS.items()):
         def spy(layout, geoms, build=build):
             try:
                 out = build(layout, geoms)
@@ -943,7 +971,7 @@ def test_no_figure_transmit_batch_falls_back_point_by_point(monkeypatch):
                 raise
             batches.append((len(geoms), None))
             return out
-        monkeypatch.setitem(fisher_core._TX_BATCHES, model, spy)
+        monkeypatch.setitem(fisher_core._TX_GRAMS, model, spy)
     for figure in experiment_cli.FIGURES.values():
         figure()
     assert any(size > 1 for size, _ in batches)
@@ -1000,6 +1028,27 @@ def test_every_method_accepts_or_rejects_a_scene_alike(scene):
             results[method] = (row["error_code"], row["crb_theta_rad2"] != "")
     assert len(set(results.values())) == 1, results
     assert garbage == dict.fromkeys(METHODS, 0)
+
+
+# Planar-wave scenes and the code both exact methods give (the closed forms
+# have no planar model).
+PLANAR_AGREEMENT_SCENES = [
+    # c_k + t_m loses the in-subarray offset against a 2**55 half-wavelength
+    # gap, which the factored transmit Gram must still report
+    (["--I", "55", "--r", "10"], "element_coincidence"),
+]
+
+
+@pytest.mark.parametrize("scene, code", PLANAR_AGREEMENT_SCENES)
+@pytest.mark.parametrize("method", ["direct", "oracle"])
+def test_exact_methods_give_a_planar_scene_one_code(method, scene, code):
+    args = experiment_cli.build_parser().parse_args(
+        ["crb", "--model", "pw", "--theta", "0.3", *scene, "--method", method]
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        row = parse_rows(crb_csv(experiment_cli.scenario_from_args(args)))[0]
+    assert (row["error_code"], row["crb_theta_rad2"]) == (code, "")
 
 
 def test_oracle_row_scales_from_unit_gain_and_noise():

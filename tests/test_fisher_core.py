@@ -7,8 +7,9 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import seeded, std_wsms
+from conftest import D_HALF, LAM, seeded, std_wsms
 from nearfield_crb import (
+    CrbEngineError,
     DegenerateGeometry,
     DomainError,
     ElementCoincidence,
@@ -20,9 +21,11 @@ from nearfield_crb import (
     bundle_fisher,
     crb,
     crb_theta_only,
+    d0_from_exponent,
     fisher_core,
     full_fisher_oracle,
     make_dua,
+    make_ua,
     received_gain_sq,
 )
 from nearfield_crb.fisher_core import (
@@ -34,6 +37,7 @@ from nearfield_crb.fisher_core import (
     rx_bundle,
     sw_tx_bundle,
 )
+from nearfield_crb.errors import outcome
 
 STRONG = SceneGeometry(r=0.04, theta=0.4, big_r=2.0)
 
@@ -166,6 +170,33 @@ def test_factored_amfs_match_explicit_composite(model, n_r, theta):
         assert abs(getattr(got, name) - np.vdot(u, w)) <= 1e-13 * scale, name
 
 
+PLANAR_LAYOUTS = {
+    "wsms": lambda k, m: std_wsms(k, m, 2),
+    "ua": lambda k, m: make_ua(k, m, D_HALF, d0_from_exponent(2, LAM), LAM),
+    "dua": lambda k, m: make_dua(k, m, D_HALF, LAM),
+}
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3, 1.5, -1.5])
+@pytest.mark.parametrize("shape", [(3, 8), (1, 8), (4, 1), (12, 128)])
+@pytest.mark.parametrize("kind", sorted(PLANAR_LAYOUTS))
+def test_factored_planar_gram_matches_explicit_vectors(kind, shape, theta):
+    # pw's transmit Gram from K- and M-length factors against the vdots of
+    # the K*M vectors that pw_tx_bundle builds
+    lay = PLANAR_LAYOUTS[kind](*shape)
+    geom = SceneGeometry(r=1.5, theta=theta, big_r=20.0)
+    tx = pw_tx_bundle(lay, geom)
+    vectors = (tx.value, tx.d_theta, tx.d_r)
+    gram = fisher_core._tx_grams(lay, [geom], "pw")[0]
+    for i, u in enumerate(vectors):
+        for j, w in enumerate(vectors):
+            if (i, j) == (1, 2):
+                assert gram[i][j] is None  # never read
+                continue
+            scale = np.linalg.norm(u) * np.linalg.norm(w)
+            assert abs(gram[i][j] - np.vdot(u, w)) <= 1e-13 * scale, (i, j)
+
+
 def bits(bundle):
     return [v.view(np.uint64) for v in (bundle.value, bundle.d_theta, bundle.d_r)]
 
@@ -191,7 +222,13 @@ def word_bits(x):
     return np.array([x]).view(np.uint64).tolist()
 
 
+def gram_bits(gram):
+    """A Gram's rows as IEEE words; an entry never read stays None."""
+    return [[None if v is None else word_bits(v) for v in row] for row in gram]
+
+
 AMF_FIELDS = ("htheta_sq", "hr_sq", "h_sq", "htheta_h", "hr_h", "htheta_hr")
+NF_FIELDS = ("q11", "q12", "q22", "q11_floor", "q22_floor")
 
 
 @pytest.mark.parametrize("shape", [(1, 1, 0), (2, 3, 0), (3, 8, 2), (12, 128, 3)])
@@ -216,6 +253,19 @@ def test_batched_bundles_and_amfs_are_bit_identical_to_single_points(model, shap
             got, ref = amfs(tx, rx), amfs(want, rx)
             for name in AMF_FIELDS:
                 assert word_bits(getattr(got, name)) == word_bits(getattr(ref, name)), name
+    # the transmit Grams and blocks of the bundle route, the same way
+    for geom, gram in zip(geoms, fisher_core._tx_grams(lay, geoms, model)):
+        assert gram_bits(gram) == gram_bits(fisher_core._tx_grams(lay, [geom], model)[0])
+    for n_r in (1, 4, 35):
+        blocks = fisher_core.bundle_fishers(lay, geoms, n_r, model=model)
+        for geom, nf in zip(geoms, blocks):
+            want = outcome(bundle_fisher, lay, geom, n_r, model=model)
+            if isinstance(want, CrbEngineError):
+                assert (type(nf), str(nf)) == (type(want), str(want))
+            else:
+                assert [word_bits(getattr(nf, f)) for f in NF_FIELDS] == [
+                    word_bits(getattr(want, f)) for f in NF_FIELDS
+                ]
 
 
 def test_batched_bundles_give_each_point_its_own_error():
