@@ -3,16 +3,19 @@
 The normalized (theta, r) Fisher block for the spherical-wave model is
 
     q11 = chi_nt (s_theta2/N - (s_theta/N)^2)            + chi_nr phi_theta^2
-    q12 = chi_nt/(r cos t) (s_thetar/N - s_theta s_r/N^2) + chi_nr phi_theta phi_r
-    q22 = chi_nt/(r^2 cos^2 t) (s_r2/N - (s_r/N)^2)       + chi_nr phi_r^2
+    q12 = k0^2 r cos t (s_thetar/N - s_theta s_r/N^2)     + chi_nr phi_theta phi_r
+    q22 = k0^2 (s_r2/N - (s_r/N)^2)                       + chi_nr phi_r^2
 
-with chi_nt = 4 pi^2 r^2 cos^2(theta)/lambda^2 the transmit curvature factor
-and chi_nr = pi^2 d^2 (N_r^2 - 1)/(3 lambda^2) the receive aperture
-factor of an N_r-element receiver at the transmit spacing d (phi_* are the
-arrival-angle sensitivities).  The hybrid model swaps
-in the subarray-centre sums (N -> K) and adds the within-subarray planar
-term chi_m cos^2(theta) to q11 only, since a planar subarray carries angle
-but no range information.
+with k0^2 = 4 pi^2/lambda^2 and chi_nt = k0^2 r^2 cos^2(theta) the transmit
+curvature factor (the paper writes the q12 and q22 factors as
+chi_nt/(r cos t) and chi_nt/(r^2 cos^2 t)), and chi_nr = pi^2 d^2 (N_r^2 -
+1)/(3 lambda^2) the receive aperture factor of an N_r-element receiver at
+the transmit spacing d (phi_* are the arrival-angle sensitivities).  The
+hybrid model swaps in the subarray-centre sums (N -> K) and adds the
+within-subarray planar term chi_m cos^2(theta) to q11 only, since a planar
+subarray carries angle but no range information.  The round-off floors of
+q11 and q22 come from ``fisher_core.floored_fisher``, as on the bundle
+route.
 
 Feeding the *direct* sums through these assemblies reproduces the
 first-principles bundle route exactly (same inner products, rearranged);
@@ -49,17 +52,16 @@ from .closed_form import (
 )
 from .errors import DomainError, SingularFisher, each_point
 from .fisher_core import (
-    _EPS,
-    NOISE_FLOOR_MULT,
     CrbResult,
     NormalizedFisher,
     _unit_crb,
     bundle_crb,
+    floored_fisher,
     received_gain_sq,
     require_receiver_size,
 )
 from .geometry import GeometryGrid, SceneGeometry, arrival_triangle
-from .pointwise import checked, cos, power
+from .pointwise import cos, power
 
 
 @dataclass(frozen=True)
@@ -132,39 +134,29 @@ def _fisher_from_sums(
     if sums.n != count:
         raise DomainError(f"sums cover {sums.n} terms but the layout has {count} {noun}")
     chi = chi_factors(layout, geom, n_r)
+    # k0^2 = chi_nt / (r^2 cos^2 t), its lambda^2 accepted by chi_factors
+    k0_sq = 4.0 * math.pi ** 2 / layout.lam ** 2
     phi_theta, phi_r = _rx_sensitivities(geom, n_r)
     chi_tx, chi_nr = chi.chi_nt, chi.chi_nr
     n = sums.n
-    r, c = geom.r, cos(geom.theta)
+    c = cos(geom.theta)
     # a planar subarray carries angle but no range information
     planar_11 = chi.chi_m * power(c, 2) if hybrid else 0.0
-    r2c2 = r * r * c * c
-    # below a range of ~1e-154 m the range terms divide by zero
-    r2c2 = checked(r2c2, r2c2 == 0.0, lambda: SingularFisher(
-        "r^2 cos^2(theta) underflows: the range is too small"
-    ))
-    chi_range = chi_tx / r2c2
     mean_theta_sq = power(sums.s_theta / n, 2)
     mean_r_sq = power(sums.s_r / n, 2)
     rx_11 = chi_nr * power(phi_theta, 2)
     rx_22 = chi_nr * power(phi_r, 2)
     q11 = chi_tx * (sums.s_theta2 / n - mean_theta_sq) + planar_11 + rx_11
     q12 = (
-        chi_tx / (r * c) * (sums.s_thetar / n - sums.s_theta * sums.s_r / n ** 2)
+        k0_sq * geom.r * c * (sums.s_thetar / n - sums.s_theta * sums.s_r / n ** 2)
         + chi_nr * phi_theta * phi_r
     )
-    q22 = chi_range * (sums.s_r2 / n - mean_r_sq) + rx_22
-    # Round-off floors from the pre-cancellation magnitudes: the variance
-    # factors subtract same-sign quantities, so anything below these is
-    # numerically zero information, not a usable bound.
-    floor_mult = NOISE_FLOOR_MULT * _EPS
-    q11_floor = floor_mult * (
-        chi_tx * (abs(sums.s_theta2) / n + mean_theta_sq) + abs(planar_11) + rx_11
-    )
-    q22_floor = floor_mult * (chi_range * (abs(sums.s_r2) / n + mean_r_sq) + rx_22)
-    return NormalizedFisher(
-        q11=q11, q12=q12, q22=q22, q11_floor=q11_floor, q22_floor=q22_floor
-    )
+    q22 = k0_sq * (sums.s_r2 / n - mean_r_sq) + rx_22
+    # the variance factors subtract same-sign quantities: the floors rest on
+    # their magnitudes before the cancellation
+    pre11 = chi_tx * (abs(sums.s_theta2) / n + mean_theta_sq) + abs(planar_11) + rx_11
+    pre22 = k0_sq * (abs(sums.s_r2) / n + mean_r_sq) + rx_22
+    return floored_fisher(q11, q12, q22, pre11, pre22)
 
 
 def sw_fisher_from_sums(

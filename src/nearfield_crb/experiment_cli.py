@@ -364,18 +364,15 @@ def fig6_rows() -> list:
 def fig7_rows() -> list:
     """Hybrid-model angle bound vs I with its two span-limit asymptotes."""
     cfg = ScenarioConfig(K=2, N_r=12, theta=0.0, r=10.0, R=50.0, model="hspw")
-    rows = [run_point(replace(cfg, I=i)) for i in range(21)]
     geom = SceneGeometry(r=cfg.r, theta=cfg.theta, big_r=cfg.R)
     asym = hspw_crb_asymptotes(build_layout(replace(cfg, I=0)), geom, cfg.N_r)
-    for name, value in (
-        ("asymptote_span_pi", asym.crb_theta_span_pi),
-        ("asymptote_span_zero", asym.crb_theta_span_zero),
-    ):
-        row = _row(replace(cfg, I=0), cfg.r, cfg.theta, value, None, "")
-        row["method"] = name
-        row["I"] = None
-        rows.append(row)
-    return rows
+    return run_sweep(cfg, "I", 0, 20, 21) + [
+        _row(replace(cfg, I=None, method=name), cfg.r, cfg.theta, value, None, "")
+        for name, value in (
+            ("asymptote_span_pi", asym.crb_theta_span_pi),
+            ("asymptote_span_zero", asym.crb_theta_span_zero),
+        )
+    ]
 
 
 def fig8_rows() -> list:
@@ -390,10 +387,8 @@ def fig8_rows() -> list:
     for k in (3, 6, 12, 24):
         lay = make_wsms(k, base.M, base.d, total / k - (base.M - 1) * base.d, base.lam)
         for method in ("direct", "riemann"):
-            cfg = replace(base, K=k, method=method)
-            (row,) = _rows_on_layout(cfg, [(cfg.r, cfg.theta)], lay)
-            row["I"] = None
-            rows.append(row)
+            cfg = replace(base, K=k, I=None, method=method)
+            rows.extend(_rows_on_layout(cfg, [(cfg.r, cfg.theta)], lay))
     return rows
 
 

@@ -501,14 +501,20 @@ def normalized_fisher(a: AmfSet) -> NormalizedFisher:
     q11 = a.htheta_sq - htheta_h_sq / a.h_sq
     q22 = a.hr_sq - hr_h_sq / a.h_sq
     q12 = a.htheta_hr.real - (a.htheta_h.conjugate() * a.hr_h).real / a.h_sq
-    floor_mult = NOISE_FLOOR_MULT * _EPS
-    return NormalizedFisher(
-        q11=q11,
-        q12=q12,
-        q22=q22,
-        q11_floor=floor_mult * (a.htheta_sq + htheta_h_sq / a.h_sq),
-        q22_floor=floor_mult * (a.hr_sq + hr_h_sq / a.h_sq),
+    return floored_fisher(
+        q11, q12, q22, a.htheta_sq + htheta_h_sq / a.h_sq, a.hr_sq + hr_h_sq / a.h_sq
     )
+
+
+def floored_fisher(q11, q12, q22, pre11, pre22) -> NormalizedFisher:
+    """The block (q11, q12, q22) with the round-off floors of its diagonal.
+
+    pre11 and pre22 are the magnitudes q11 and q22 are formed from before
+    their same-sign terms cancel; each floor is ``NOISE_FLOOR_MULT`` eps
+    times its magnitude.  Every route's block takes its floors from here.
+    """
+    floor_mult = NOISE_FLOOR_MULT * _EPS
+    return NormalizedFisher(q11, q12, q22, floor_mult * pre11, floor_mult * pre22)
 
 
 def received_gain_sq(alpha: complex, n_r: int, n_t: int) -> float:
@@ -636,16 +642,13 @@ def full_fisher_oracle(
     if training not in ("implicit", "dft"):
         raise DomainError(f"unknown training map {training!r}")
     n_t = layout.n_elements
-    if training == "dft":
-        unitary = np.fft.fft(np.eye(n_t)) / math.sqrt(n_t)
-    else:
-        unitary = None
 
     def hvec(theta: float, r: float) -> np.ndarray:
         g = replace(geom, theta=theta, r=r)
-        tx = unwrap(tx_bundles(layout, [g], model)[0]).value
+        tx = np.conj(unwrap(tx_bundles(layout, [g], model)[0]).value)
         rx = rx_bundle(layout, n_r, g).value
-        mapped = np.conj(tx) if unitary is None else unitary.T @ np.conj(tx)
+        # the unitary DFT matrix is symmetric, so its transpose maps tx as fft does
+        mapped = tx if training == "implicit" else np.fft.fft(tx) / math.sqrt(n_t)
         return _kron(mapped, rx)
 
     d_theta_step = ORACLE_FD_STEP

@@ -594,7 +594,7 @@ CLOSED_FORM_POINTS = [
     (2.0, 0.3),
     (1e200, 0.3),   # the cell area underflows
     (1e160, 0.0),   # r ** 2 overflows in the aperture factors
-    (1e-300, 0.0),  # r^2 cos^2(theta) underflows
+    (1e-300, 0.0),  # r^2 underflows and the sums read NaN
     (2.0, 1.5),     # beyond the sw cap
     (2.0, 0.0),
     (0.0, 0.3),     # an invalid scene
@@ -720,7 +720,7 @@ EXTREME_SCENES = [
     ["--r", "1e200", "--theta", "0.3"],  # the closed form's cell area underflows
     ["--r", "1e160"],                    # r ** 2 overflows in the aperture factors
     ["--r", "1e160", "--model", "hspw"],
-    ["--r", "1e-300"],                   # r^2 cos^2(theta) underflows in the assembly
+    ["--r", "1e-300"],                   # r^2 underflows and the sums read NaN: a NaN block
     ["--R", "1e200", "--N_r", "4"],      # the receiver distance squared overflows
     ["--R", "1e120", "--N_r", "4"],      # ... and cubed
     ["--frequency_hz", "1e300"],         # the inner products overflow

@@ -10,6 +10,7 @@ from nearfield_crb import (
     DomainError,
     InvalidLayout,
     SceneGeometry,
+    SingularFisher,
     bundle_crb,
     bundle_fisher,
     compare_wsms_ua,
@@ -257,6 +258,18 @@ def test_receiver_of_several_elements_enters_even_where_its_factor_underflows():
     ):
         with pytest.raises(DomainError, match="broadside receiver"):
             route()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("method", ["direct", "riemann"])
+@pytest.mark.parametrize("model", ["sw", "hspw"])
+def test_a_range_whose_square_underflows_is_a_singular_block(model, method):
+    # r^2 underflows to 0.0 and the sums read NaN: the block is NaN, which
+    # crb reports as singular, without a division by zero or a warning
+    geom = SceneGeometry(r=1e-200, theta=0.3, big_r=50.0)
+    nf = sums_fisher(std_wsms(3, 128, 3), geom, 1, model=model, method=method)
+    with pytest.raises(SingularFisher):
+        crb(nf, 1.0, 1.0)
 
 
 @pytest.mark.parametrize("kind", ["ua", "dua"])

@@ -511,6 +511,22 @@ def test_oracle_training_map_is_transparent():
     assert rel(dft.crb_r, implicit.crb_r) < 1e-9
 
 
+def test_oracle_training_map_builds_no_square_matrix():
+    # N_t = 2,048: a dense N_t x N_t DFT matrix alone would take 67 MB
+    lay = std_wsms(16, 128, 3)
+    geom = SceneGeometry(r=10.0, theta=0.3, big_r=50.0)
+    implicit = full_fisher_oracle(lay, geom, 1, model="sw", training="implicit")
+    tracemalloc.start()
+    try:
+        dft = full_fisher_oracle(lay, geom, 1, model="sw", training="dft")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert rel(dft.crb_theta, implicit.crb_theta) < 1e-9
+    assert rel(dft.crb_r, implicit.crb_r) < 1e-9
+
+
 def test_oracle_validation():
     lay = std_wsms(2, 4, 2)
     geom = SceneGeometry(r=0.1, theta=0.35, big_r=2.0)
