@@ -29,8 +29,8 @@ The assembly takes one point or a grid: ``chi_factors``, the
 ``*_fisher_from_sums`` assemblies and ``sums_fisher`` accept a
 ``GeometryGrid`` wherever they accept a scene, and then return arrays
 with one entry per point, each bit for bit the point's own float (see
-``pointwise``).  ``sums_fishers`` evaluates a list of scenes as one grid
-and hands back each point's block, or its own engine error.
+``pointwise``).  ``sums_fishers`` evaluates a grid in one call and hands
+back its blocks as five columns, with each point's own engine error.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .closed_form import (
     sw_sums_riemann,
     sw_theta0_sums,
 )
-from .errors import DomainError, SingularFisher, each_point
+from .errors import CrbEngineError, DomainError, SingularFisher, outcome
 from .fisher_core import (
     CrbResult,
     NormalizedFisher,
@@ -102,9 +102,13 @@ class LayoutComparison:
 
 
 def chi_factors(layout: ArrayLayout, geom: SceneGeometry, n_r: int) -> ChiFactors:
+    return _chi_factors(layout, geom, n_r, cos(geom.theta))
+
+
+def _chi_factors(layout: ArrayLayout, geom: SceneGeometry, n_r: int, c) -> ChiFactors:
+    """``chi_factors`` with c = cos(theta) given, so that an assembly takes it once."""
     require_receiver_size(n_r)
     lam = layout.lam
-    c = cos(geom.theta)
     try:
         curvature = 4.0 * math.pi ** 2 * power(geom.r, 2) * c * c / lam ** 2
         chi_nr, chi_m = (
@@ -133,13 +137,13 @@ def _fisher_from_sums(
     count, noun = (layout.K, "subarrays") if hybrid else (layout.n_elements, "elements")
     if sums.n != count:
         raise DomainError(f"sums cover {sums.n} terms but the layout has {count} {noun}")
-    chi = chi_factors(layout, geom, n_r)
+    c = cos(geom.theta)
+    chi = _chi_factors(layout, geom, n_r, c)
     # k0^2 = chi_nt / (r^2 cos^2 t), its lambda^2 accepted by chi_factors
     k0_sq = 4.0 * math.pi ** 2 / layout.lam ** 2
     phi_theta, phi_r = _rx_sensitivities(geom, n_r)
     chi_tx, chi_nr = chi.chi_nt, chi.chi_nr
     n = sums.n
-    c = cos(geom.theta)
     # a planar subarray carries angle but no range information
     planar_11 = chi.chi_m * power(c, 2) if hybrid else 0.0
     mean_theta_sq = power(sums.s_theta / n, 2)
@@ -199,31 +203,38 @@ def sums_fisher(
     return assemble(sums, layout, geom, n_r)
 
 
-def sums_fishers(layout: ArrayLayout, geoms: list, n_r: int, *, model: str) -> list:
-    """The closed-form ``sums_fisher`` at each geometry, evaluated as one grid.
+def sums_fishers(layout: ArrayLayout, grid: GeometryGrid, n_r: int, *, model: str) -> tuple:
+    """The closed-form ``sums_fisher`` at each point of a grid, as columns.
 
-    Entry p is the "riemann" block at geoms[p], or the engine error
-    ``sums_fisher`` raises there.  Two or more points run once, on a
-    ``GeometryGrid``; a point whose block comes out non-finite there (a
-    point that raises alone reads NaN), and every point of a grid that
-    raises as a whole, is evaluated again alone (``errors.each_point``), so
-    each point gets the very block or error it gets alone.
+    Returns (blocks, errors).  blocks is a (5, P) array whose rows are q11,
+    q12, q22, q11_floor and q22_floor, one column per point; errors maps
+    each point that has an engine error to that error, and its column reads
+    NaN.  The grid runs as one evaluation, and ``errors.each_point``'s rule
+    holds: a point whose block comes out non-finite there (a point that
+    raises alone reads NaN), and every point of a grid that raises as a
+    whole, is evaluated again alone (``GeometryGrid.scene``), so each
+    column and error is the very one the point gets alone.
     """
 
     def alone(geom):
         return sums_fisher(layout, geom, n_r, model=model, method="riemann")
 
-    def grid(points):
+    blocks = np.full((5, grid.size), np.nan)
+    try:
         with np.errstate(all="ignore"):
-            nf = alone(GeometryGrid.of(points))
-        cols = (nf.q11, nf.q12, nf.q22, nf.q11_floor, nf.q22_floor)
-        # floats, where every point is the same scene
-        table = np.broadcast_to(np.reshape(cols, (5, -1)), (5, len(points)))
-        finite = np.isfinite(table).all(axis=0).tolist()
-        rows = zip(*table.tolist())
-        return [NormalizedFisher(*row) if ok else None for ok, row in zip(finite, rows)]
-
-    return each_point(grid, alone, geoms)
+            nf = alone(grid)
+        for row, col in zip(blocks, (nf.q11, nf.q12, nf.q22, nf.q11_floor, nf.q22_floor)):
+            row[:] = col  # a float where every point is the same scene
+    except (CrbEngineError, ArithmeticError):
+        pass
+    errors = {}
+    for p in np.flatnonzero(~np.isfinite(blocks).all(axis=0)).tolist():
+        nf = outcome(alone, grid.scene(p))
+        if isinstance(nf, CrbEngineError):
+            errors[p] = nf
+        else:
+            blocks[:, p] = nf.q11, nf.q12, nf.q22, nf.q11_floor, nf.q22_floor
+    return blocks, errors
 
 
 def sw_crb_closed(

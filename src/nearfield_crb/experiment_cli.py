@@ -15,8 +15,14 @@ byte-identical.
 
 Each row takes one path: the method picks one route for all of a call's
 scenes (``direct`` the steering bundles, ``oracle`` the finite-difference
-oracle, else the closed-form sums), and ``_bounds`` turns each point's result
-into its bounds or error code.
+oracle, else the closed-form sums).  A single point stays in plain floats,
+and ``_bounds`` turns its result into its bounds or error code.  A sweep
+keeps its points as columns from the grid to the CSV line: the scene checks
+run once on the r and theta arrays, the Fisher blocks come back as five
+columns, and one array tail inverts them all.  Only a row that the tail
+cannot vouch for (an invalid scene, a kept error, an oracle result, a block
+at a round-off floor) takes ``_bounds``, so each row is the one its point
+gets alone.  ``write_rows`` formats the cells a sweep's rows share once.
 
 Scenario parameters come from defaults, then an optional --config file of
 flat ``key = value`` lines using the ScenarioConfig field names, then CLI
@@ -47,18 +53,20 @@ import numpy as np
 
 from . import validation
 from .array_layouts import ArrayLayout, d0_from_exponent, make_dua, make_ua, make_wsms
-from .crb_analytic import hspw_crb_asymptotes, sums_fishers
+from .crb_analytic import hspw_crb_asymptotes, sums_fisher, sums_fishers
 from .errors import CrbEngineError, DomainError, SingularFisher, error_code, outcome
 from .fisher_core import (
+    NormalizedFisher,
     OracleResult,
     bundle_fishers,
     crb,
     crb_theta_only,
+    det_floor,
     full_fisher_oracle,
     received_gain_sq,
     require_gain_and_noise,
 )
-from .geometry import SceneGeometry
+from .geometry import GeometryGrid, SceneGeometry, scenes_hold
 
 C_LIGHT = 299792458.0
 
@@ -209,7 +217,9 @@ def _bounds(cfg: ScenarioConfig, layout: ArrayLayout, beta_sq: float, sigma_n_sq
 
     The result is a kept engine error, an oracle result or a normalized
     Fisher block.  A kept error is never raised: it can be shared by many
-    points, and each raise would lengthen its traceback.
+    points, and each raise would lengthen its traceback.  This is the
+    scalar path: a one-point call, an oracle row, and each row of a grid
+    that the array tail (``_grid_rows``) hands back take it.
     """
     if isinstance(result, CrbEngineError):
         return None, None, error_code(result)
@@ -238,56 +248,120 @@ def _root(v):
     return math.sqrt(v) if v is not None and v >= 0.0 else None
 
 
+def _rows(cfg: ScenarioConfig, points, *bounds) -> list:
+    """The CSV rows of cfg's fields at each (r, theta) point, with that point's bounds.
+
+    bounds holds five columns, one entry per point: crb_theta, crb_r, their
+    roots and the error code.  Every row shares the fixed cells' objects.
+    The keys are ``CSV_COLUMNS``, in order.
+    """
+    model, layout, method, k, m, i, n_r, big_r = (
+        cfg.model, cfg.layout, cfg.method, cfg.K, cfg.M, cfg.I, cfg.N_r, cfg.R)
+    return [
+        {"model": model, "layout": layout, "method": method, "K": k, "M": m, "I": i, "N_r": n_r,
+         "R_m": big_r, "theta_rad": theta, "r_m": r, "crb_theta_rad2": crb_theta,
+         "crb_r_m2": crb_r, "root_crb_theta_rad": root_theta, "root_crb_r_m": root_r,
+         "error_code": code}
+        for (r, theta), crb_theta, crb_r, root_theta, root_r, code in zip(points, *bounds)
+    ]
+
+
 def _row(cfg: ScenarioConfig, r: float, theta: float, crb_theta, crb_r, code: str) -> dict:
     """The CSV row of cfg's fields at (r, theta) with its bounds."""
-    return {
-        "model": cfg.model,
-        "layout": cfg.layout,
-        "method": cfg.method,
-        "K": cfg.K,
-        "M": cfg.M,
-        "I": cfg.I,
-        "N_r": cfg.N_r,
-        "R_m": cfg.R,
-        "theta_rad": theta,
-        "r_m": r,
-        "crb_theta_rad2": crb_theta,
-        "crb_r_m2": crb_r,
-        "root_crb_theta_rad": _root(crb_theta),
-        "root_crb_r_m": _root(crb_r),
-        "error_code": code,
-    }
+    return _rows(cfg, [(r, theta)], [crb_theta], [crb_r], [_root(crb_theta)], [_root(crb_r)],
+                 [code])[0]
+
+
+def _results(cfg: ScenarioConfig, layout: ArrayLayout, geoms: list) -> list:
+    """Each scene's result on cfg's route: its block, its oracle result or its kept error."""
+    if cfg.method == "direct":
+        return bundle_fishers(layout, geoms, cfg.N_r, model=cfg.model)
+    if cfg.method == "oracle":
+        return [outcome(full_fisher_oracle, layout, g, cfg.N_r, model=cfg.model) for g in geoms]
+    return [outcome(sums_fisher, layout, g, cfg.N_r, model=cfg.model, method="riemann")
+            for g in geoms]
 
 
 def _rows_on_layout(cfg: ScenarioConfig, points, layout: ArrayLayout | None = None) -> list:
     """One row per (r, theta) in ``points``, the other fields from cfg.
 
     Every evaluated CLI row comes from here.  The layout does not depend on
-    r or theta: it is built once from cfg unless the caller passes one.  The
-    method picks one route for every valid scene: ``direct`` one batched
-    ``bundle_fishers`` call, ``oracle`` a ``full_fisher_oracle`` call per
-    scene, any other one ``sums_fishers`` call.  ``_bounds`` turns each
-    point's result, or its scene's error, into its bounds; a layout's error
-    goes on every point.
+    r or theta: it is built once from cfg unless the caller passes one, and
+    a layout's error goes on every point.  The method picks one route for
+    every valid scene: ``direct`` batched ``bundle_fishers`` calls,
+    ``oracle`` a ``full_fisher_oracle`` call per scene, any other the
+    closed-form sums.  A single point stays in plain floats: its scene, its
+    result and ``_bounds``.  Two or more points run as columns
+    (``_grid_rows``).
     """
     try:
         layout = build_layout(cfg) if layout is None else layout
     except CrbEngineError as exc:
         return [_row(cfg, r, theta, None, None, error_code(exc)) for r, theta in points]
-    scenes = [outcome(SceneGeometry, r=r, theta=theta, big_r=cfg.R, vartheta=cfg.vartheta)
-              for r, theta in points]
-    geoms = [g for g in scenes if isinstance(g, SceneGeometry)]
-    if cfg.method == "direct":
-        results = bundle_fishers(layout, geoms, cfg.N_r, model=cfg.model)
-    elif cfg.method == "oracle":
-        results = [outcome(full_fisher_oracle, layout, g, cfg.N_r, model=cfg.model) for g in geoms]
-    else:
-        results = sums_fishers(layout, geoms, cfg.N_r, model=cfg.model)
-    results = iter(results)
-    results = [next(results) if isinstance(g, SceneGeometry) else g for g in scenes]
     beta_sq, sigma_n_sq = received_gain_sq(cfg.alpha, cfg.N_r, layout.n_elements), cfg.sigma_n_sq
-    return [_row(cfg, *point, *_bounds(cfg, layout, beta_sq, sigma_n_sq, result))
-            for point, result in zip(points, results)]
+    if len(points) > 1:
+        return _grid_rows(cfg, points, layout, beta_sq, sigma_n_sq)
+    rows = []
+    for r, theta in points:
+        result = outcome(SceneGeometry, r, theta, cfg.R, cfg.vartheta)
+        if isinstance(result, SceneGeometry):
+            result = _results(cfg, layout, [result])[0]
+        rows.append(_row(cfg, r, theta, *_bounds(cfg, layout, beta_sq, sigma_n_sq, result)))
+    return rows
+
+
+def _grid_rows(cfg: ScenarioConfig, points, layout: ArrayLayout, beta_sq: float,
+               sigma_n_sq: float) -> list:
+    """The rows of two or more points, kept as columns from the scenes to the bounds.
+
+    The scene checks run once on the r and theta arrays (``scenes_hold``).
+    The valid points' Fisher blocks come back as five columns: from one
+    ``sums_fishers`` grid, or packed from the bundle route's blocks.  One
+    array tail then does ``crb``'s floor and determinant tests, its two
+    divisions and the two roots; numpy's + - * / and sqrt round as Python's
+    float operations do, so each bound has the bits of the scalar path.  A
+    point that fails a test there, an invalid scene, a kept error and an
+    oracle result each take the scalar path (``_bounds``), so every row gets
+    the very bounds and code it gets alone.
+    """
+    r, theta = np.array(points, dtype=float).T
+    valid = scenes_hold(r, theta, cfg.R, cfg.vartheta)
+    index = np.flatnonzero(valid).tolist()
+    blocks = np.full((5, len(points)), np.nan)
+    # point -> its scene error, kept error, oracle result or block, for the scalar path
+    alone = {p: outcome(SceneGeometry, *points[p], cfg.R, cfg.vartheta)
+             for p in np.flatnonzero(~valid).tolist()}
+    if cfg.method in ("direct", "oracle"):
+        geoms = [SceneGeometry(*points[p], cfg.R, cfg.vartheta) for p in index]
+        for p, result in zip(index, _results(cfg, layout, geoms)):
+            if isinstance(result, NormalizedFisher):
+                blocks[:, p] = result.q11, result.q12, result.q22, result.q11_floor, result.q22_floor
+            else:
+                alone[p] = result
+    elif index:
+        grid = GeometryGrid.of_columns(r[valid], theta[valid], cfg.R, cfg.vartheta)
+        blocks[:, valid], errors = sums_fishers(layout, grid, cfg.N_r, model=cfg.model)
+        alone.update((index[p], error) for p, error in errors.items())
+    q11, q12, q22, q11_floor, q22_floor = blocks
+    gain_ok = outcome(require_gain_and_noise, beta_sq, sigma_n_sq) is None
+    pref = sigma_n_sq / (2.0 * beta_sq) if gain_ok else math.nan
+    with np.errstate(all="ignore"):
+        det = q11 * q22 - q12 * q12
+        crb_theta, crb_r = pref * q22 / det, pref * q11 / det
+        # each test as crb's, written so that NaN fails it; a NaN bound (a
+        # quotient of infinities) takes the scalar path, where its root is blank
+        fast = ((q11 > q11_floor) & (q22 > q22_floor)
+                & (det > det_floor(q11, q12, q22, q11_floor, q22_floor))
+                & (crb_theta >= 0.0) & (crb_r >= 0.0))
+        cells = [crb_theta.tolist(), crb_r.tolist(), np.sqrt(crb_theta).tolist(),
+                 np.sqrt(crb_r).tolist(), [""] * len(points)]
+    for p in np.flatnonzero(~fast).tolist():
+        result = alone[p] if p in alone else NormalizedFisher(*blocks[:, p].tolist())
+        crb_theta_p, crb_r_p, code = _bounds(cfg, layout, beta_sq, sigma_n_sq, result)
+        scalar = (crb_theta_p, crb_r_p, _root(crb_theta_p), _root(crb_r_p), code)
+        for col, value in zip(cells, scalar):
+            col[p] = value
+    return _rows(cfg, points, *cells)
 
 
 def run_point(cfg: ScenarioConfig) -> dict:
@@ -432,7 +506,15 @@ def format_cell(value) -> str:
 # a field of these characters holds nothing that csv quotes
 _PLAIN_FIELD = re.compile(r"[\w.+-]*", re.ASCII)
 
-_CELLS_IN_ORDER = operator.itemgetter(*CSV_COLUMNS)
+# no column name holds what csv quotes
+_HEADER = ",".join(CSV_COLUMNS) + "\n"
+
+# the cells cfg fills (one call's rows share these objects), the point and the bounds
+_FIXED_CELLS = operator.itemgetter(*CSV_COLUMNS[:8])
+_POINT_CELLS = operator.itemgetter("theta_rad", "r_m")
+_BOUND_CELLS = operator.itemgetter(*CSV_COLUMNS[10:14])
+_FLOAT_OR_NONE = frozenset((float, type(None)))
+_NO_ROW = tuple(object() for _ in CSV_COLUMNS[:8])  # held before the first row
 
 
 def _quoted(text: str) -> str:
@@ -444,33 +526,46 @@ def _quoted(text: str) -> str:
     return buf.getvalue()[: -len(",\n")]
 
 
+def _field(value) -> str:
+    """``format_cell``'s text of value, as ``csv.writer`` writes it in a line of several fields."""
+    if type(value) is float:
+        return repr(value)  # format_cell's text
+    text = format_cell(value)
+    return _quoted(text) if isinstance(value, str) else text  # only text can hold what csv quotes
+
+
 def write_rows(rows, stream) -> None:
     """The header and one line per row, as ``csv.writer`` writes ``format_cell``'s texts.
 
-    Each distinct cell object is formatted once per call.  The memo keys on
-    identity, not value, so that 0.0 and -0.0 stay apart, and it holds each
-    object it formats, so that no id is reused within the call.
+    A sweep's rows share their eight fixed cells, and one of theta_rad and
+    r_m: a run of rows whose cells there are the very same objects formats
+    them once.  Sameness is identity, not value, so that 0.0 and -0.0 keep
+    their own texts; each object is held while its text is reused, so no
+    id is reused meanwhile.  The four bound cells, when they are floats or
+    None, are one join of their reprs; no float's repr holds "None".
     """
-    csv.writer(stream, lineterminator="\n").writerow(CSV_COLUMNS)
-    fields = {}
-    held = []
+    stream.write(_HEADER)
+    fixed_held, theta_held, r_held = _NO_ROW, _NO_ROW, _NO_ROW
+    codes = {}
     for row in rows:
-        cells = []
-        for value in _CELLS_IN_ORDER(row):
-            key = id(value)
-            if key in fields:
-                cells.append(fields[key])
-                continue
-            if type(value) is float:
-                field = repr(value)  # format_cell's text
-            else:
-                field = format_cell(value)
-                if isinstance(value, str):
-                    field = _quoted(field)  # only text can hold what csv quotes
-            fields[key] = field
-            held.append(value)
-            cells.append(field)
-        stream.write(",".join(cells) + "\n")
+        fixed = _FIXED_CELLS(row)
+        if not all(map(operator.is_, fixed, fixed_held)):
+            fixed_held, fixed_text = fixed, ",".join(map(_field, fixed))
+        theta, r = _POINT_CELLS(row)
+        if theta is not theta_held:
+            theta_held, theta_text = theta, _field(theta)
+        if r is not r_held:
+            r_held, r_text = r, _field(r)
+        bounds = _BOUND_CELLS(row)
+        if _FLOAT_OR_NONE.issuperset(map(type, bounds)):
+            bounds_text = ",".join(map(repr, bounds)).replace("None", "")
+        else:
+            bounds_text = ",".join(map(_field, bounds))
+        code = row["error_code"]
+        code_text = codes.get(code) if type(code) is str else _field(code)
+        if code_text is None:
+            code_text = codes[code] = _field(code)
+        stream.write(f"{fixed_text},{theta_text},{r_text},{bounds_text},{code_text}\n")
 
 
 def _emit(rows, out_path: str | None) -> None:

@@ -69,6 +69,7 @@ from .errors import (
     DomainError, ElementCoincidence, IllConditioned, SingularFisher, each_point, outcome, unwrap,
 )
 from .geometry import SceneGeometry, arrival_triangle
+from .pointwise import sqrt
 
 
 @dataclass(frozen=True)
@@ -472,9 +473,6 @@ def _amf_set(t: tuple, r: tuple) -> AmfSet:
 # theta=-1.5, whose range bound is 2.0e-3 off the truth's).
 NOISE_FLOOR_MULT = 512.0
 
-# A (theta, r) block whose determinant is at or below this is singular.
-EPS_DET = 1e-18
-
 # A block is angle/range decoupled when |q12| <= DECOUPLED_REL_TOL * |q11|:
 # sum-formula routes give an exact 0.0, inner-product routes leave residue
 # around 1e-16 of q11.
@@ -517,6 +515,19 @@ def floored_fisher(q11, q12, q22, pre11, pre22) -> NormalizedFisher:
     return NormalizedFisher(q11, q12, q22, floor_mult * pre11, floor_mult * pre22)
 
 
+def det_floor(q11, q12, q22, q11_floor, q22_floor):
+    """The round-off floor of det = q11 q22 - q12^2, for one block's floats or a grid's arrays.
+
+    An error of up to f11 in q11, f22 in q22 and sqrt(f11 f22) in q12 moves
+    det, to first order, by at most q11 f22 + q22 f11 + 2 |q12| sqrt(f11 f22),
+    so a det at or below that is indistinguishable from zero.  The floors are
+    the diagonal's (``floored_fisher``); a hand-built block's zero floors
+    leave a plain sign check.  A NaN entry gives a NaN floor, which no det
+    exceeds.
+    """
+    return q11 * q22_floor + q22 * q11_floor + 2.0 * abs(q12) * sqrt(q11_floor * q22_floor)
+
+
 def received_gain_sq(alpha: complex, n_r: int, n_t: int) -> float:
     """Squared magnitude of the aggregate gain beta = alpha sqrt(n_r n_t)."""
     return abs(alpha) ** 2 * n_r * n_t
@@ -542,7 +553,7 @@ def crb(nf: NormalizedFisher, beta_sq: float, sigma_n_sq: float) -> CrbResult:
     if not nf.q22 > nf.q22_floor:
         raise SingularFisher(f"range information is at the round-off floor (q22 = {nf.q22!r})")
     det = nf.det
-    if not det > EPS_DET:
+    if not det > det_floor(nf.q11, nf.q12, nf.q22, nf.q11_floor, nf.q22_floor):
         raise SingularFisher(f"(theta, r) Fisher block is singular (det = {det!r})")
     pref = sigma_n_sq / (2.0 * beta_sq)
     return CrbResult(crb_theta=pref * nf.q22 / det, crb_r=pref * nf.q11 / det)

@@ -17,7 +17,9 @@ treat element by element exactly as each scene alone (see ``pointwise``).
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,14 +40,52 @@ class SceneGeometry:
     vartheta: float = 0.0
 
     def __post_init__(self):
-        if not (self.r > 0.0 and math.isfinite(self.r)):
-            raise DomainError(f"target range must be positive and finite, got {self.r!r}")
-        if not (self.big_r > 0.0 and math.isfinite(self.big_r)):
-            raise DomainError(f"receiver range must be positive and finite, got {self.big_r!r}")
-        if not abs(self.theta) < HALF_PI:
-            raise DomainError(f"target angle must satisfy |theta| < pi/2, got {self.theta!r}")
-        if not math.isfinite(self.vartheta):
-            raise DomainError(f"receiver offset angle must be finite, got {self.vartheta!r}")
+        holds = _scene_checks(self.r, self.theta, self.big_r, self.vartheta)
+        if not all(holds):
+            for ok, (name, requirement) in zip(holds, _SCENE_REQUIREMENTS):
+                if not ok:
+                    raise DomainError(f"{requirement}, got {getattr(self, name)!r}")
+
+
+# the field each scene check tests, and what it requires, in order
+_SCENE_REQUIREMENTS = (
+    ("r", "target range must be positive and finite"),
+    ("big_r", "receiver range must be positive and finite"),
+    ("theta", "target angle must satisfy |theta| < pi/2"),
+    ("vartheta", "receiver offset angle must be finite"),
+)
+
+
+def _scene_checks(r, theta, big_r, vartheta) -> tuple:
+    """Whether each of ``_SCENE_REQUIREMENTS`` holds.
+
+    The fields are one scene's floats or a grid's arrays (see ``pointwise``),
+    and each entry a bool or a bool per point: the comparisons read alike
+    for both.  NaN fails every check.
+    """
+    return (
+        (r > 0.0) & (r < math.inf),
+        (big_r > 0.0) & (big_r < math.inf),
+        abs(theta) < HALF_PI,
+        abs(vartheta) < math.inf,
+    )
+
+
+def scenes_hold(r, theta, big_r, vartheta):
+    """Where scenes with these fields pass ``SceneGeometry``'s checks.
+
+    For a grid's arrays (a field may be one float for every point) this is
+    a bool per point: the checks run once on the arrays, not per scene.
+    """
+    return functools.reduce(operator.and_, _scene_checks(r, theta, big_r, vartheta))
+
+
+def _one_or_each(col):
+    """col as one float where every entry holds the same bits, else as it is."""
+    if not isinstance(col, np.ndarray):
+        return float(col)
+    bits = col.view(np.int64)
+    return float(col[0]) if (bits == bits[0]).all() else col
 
 
 @dataclass(frozen=True)
@@ -54,21 +94,35 @@ class GeometryGrid:
 
     Each field is an array over the scenes, or one float where every scene
     holds the same bits (the fixed axes of a sweep), so that what depends
-    on it alone is computed once.
+    on it alone is computed once.  size is the number of scenes.
     """
 
     r: float | np.ndarray
     theta: float | np.ndarray
     big_r: float | np.ndarray
     vartheta: float | np.ndarray
+    size: int
 
     @classmethod
     def of(cls, geoms: list) -> "GeometryGrid":
         """The grid of scenes that each passed ``SceneGeometry``'s checks."""
         cols = np.array([(g.r, g.theta, g.big_r, g.vartheta) for g in geoms], dtype=float).T.copy()
-        bits = cols.view(np.int64)
-        shared = (bits == bits[:, :1]).all(axis=1).tolist()
-        return cls(*(float(col[0]) if same else col for col, same in zip(cols, shared)))
+        return cls.of_columns(*cols)
+
+    @classmethod
+    def of_columns(cls, r, theta, big_r, vartheta) -> "GeometryGrid":
+        """The grid of the scenes whose fields these are, built from the columns.
+
+        Each field is a float64 array with one entry per scene, or one number
+        for all of them; every scene must pass the checks (``scenes_hold``).
+        """
+        size = np.broadcast(r, theta, big_r, vartheta).size
+        return cls(*map(_one_or_each, (r, theta, big_r, vartheta)), size)
+
+    def scene(self, p: int) -> SceneGeometry:
+        """Scene p of the grid, for a point that must run alone."""
+        fields = (self.r, self.theta, self.big_r, self.vartheta)
+        return SceneGeometry(*(float(f[p]) if isinstance(f, np.ndarray) else f for f in fields))
 
 
 @dataclass(frozen=True)

@@ -360,15 +360,39 @@ def test_write_rows_is_csv_writer_over_format_cell():
         rows.append(row)
     rows.append(dict(rows[0], method='a "quoted", two-line\nname'))  # text that csv quotes
     assert sum(row["theta_rad"] is negative_zero for row in rows) == 2
-    want = io.StringIO()
-    writer = csv.writer(want, lineterminator="\n")
+    assert written(rows) == csv_writer_text(rows)
+    assert written(rows).count(",-0.0,") == 2
+    # two sweeps joined, as fig3 joins its presets: the fixed cells change mid-list
+    sweeps = (run_sweep(replace(SWEEP_SCENE, method="riemann"), "r", 1.0, 3.0, 3)
+              + run_sweep(replace(SWEEP_SCENE, model="hspw"), "theta", -0.5, 0.5, 3))
+    # equal but distinct fixed objects: R_m 0.0, then -0.0, then 0.0 again
+    signed = [dict(sweeps[0], R_m=zero), dict(sweeps[1], R_m=negative_zero),
+              dict(sweeps[2], R_m=zero)]
+    # bounds no engine row holds, and cells that are not floats
+    odd = [dict(sweeps[0], crb_theta_rad2=math.nan, crb_r_m2=math.inf,
+                root_crb_theta_rad=-math.inf, root_crb_r_m=np.float64(2.5)),
+           dict(sweeps[1], crb_theta_rad2=None, crb_r_m2=math.nan, error_code=None),
+           dict(sweeps[2], crb_r_m2=np.float64(math.inf), error_code="singular_fisher")]
+    for case in (sweeps, signed, odd, sweeps[:1], []):
+        assert written(case) == csv_writer_text(case)
+    assert [line.split(",")[7] for line in written(signed).splitlines()[1:]] == ["0.0", "-0.0", "0.0"]
+    assert written([]) == ",".join(CSV_COLUMNS) + "\n"
+
+
+def written(rows) -> str:
+    buf = io.StringIO()
+    experiment_cli.write_rows(rows, buf)
+    return buf.getvalue()
+
+
+def csv_writer_text(rows) -> str:
+    """What csv.writer writes for the header and format_cell's texts of each row."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for row in rows:
         writer.writerow([format_cell(row[col]) for col in CSV_COLUMNS])
-    got = io.StringIO()
-    experiment_cli.write_rows(rows, got)
-    assert got.getvalue() == want.getvalue()
-    assert got.getvalue().count(",-0.0,") == 2
+    return buf.getvalue()
 
 
 def test_error_code_names():
@@ -601,6 +625,8 @@ CLOSED_FORM_POINTS = [
     (1e-10, 0.3),   # the artanh argument rounds onto 1
     (1e-10, -0.0),  # ... but broadside skips the artanh terms
     (2.0, -1.2),
+    (3e3, 0.3),     # a finite block under the det floor (sw) or the q22 floor (hspw)
+    (1e5, 0.3),     # a finite block whose q22 sits under its floor
 ]
 
 
@@ -616,6 +642,52 @@ def test_closed_form_points_keep_their_own_codes_in_one_grid(model, n_r, big_r):
         want = [run_point(replace(cfg, r=r, theta=theta)) for r, theta in CLOSED_FORM_POINTS]
     assert_rows_equal(rows, want)
     assert len({row["error_code"] for row in rows}) >= 2
+
+
+# grids with rows that the array tail hands back to the scalar path:
+# (config, points, codes the rows must reach)
+HANDED_BACK_GRIDS = {
+    # the bundle route's broadside two-subarray hybrid: decoupled rows keep
+    # their angle bound
+    "decoupled": (ScenarioConfig(K=2, model="hspw"),
+                  [(2.0, 0.0), (10.0, 0.0), (10.0, 0.2), (0.0, 0.0), (30.0, -0.0)],
+                  {"singular_fisher", "domain_error"}),
+    # two elements and one receiver: rank-one blocks, det under its floor
+    "det_floor": (ScenarioConfig(K=2, M=1, I=9),
+                  [(2.1594719766691397, 0.36335631808874247), (2.0, 0.3), (0.0, 0.3)],
+                  {"singular_fisher", "domain_error"}),
+    # zero gain: every block gives domain_error, each kept error its own code
+    "zero_gain": (ScenarioConfig(method="riemann", alpha=0j), CLOSED_FORM_POINTS,
+                  {"domain_error", "singular_fisher", "singularity_near_pi2"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HANDED_BACK_GRIDS))
+def test_rows_the_array_tail_hands_back_keep_their_own_codes(case):
+    cfg, points, codes = HANDED_BACK_GRIDS[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rows = experiment_cli._rows_on_layout(cfg, points)
+        want = [run_point(replace(cfg, r=r, theta=theta)) for r, theta in points]
+    assert_rows_equal(rows, want)
+    assert {row["error_code"] for row in rows} == codes
+    if case == "decoupled":
+        assert any(row["crb_theta_rad2"] and row["crb_r_m2"] is None for row in rows)
+    if case == "det_floor":
+        assert rows[0]["error_code"] == "singular_fisher" and rows[0]["crb_theta_rad2"] is None
+
+
+def test_closed_form_sweep_makes_a_scene_only_for_a_point_that_runs_alone(monkeypatch):
+    # the scene checks run on the grid's arrays: only the invalid point and
+    # the one beyond the sw cap (which the grid hands back) become scenes
+    made = []
+    checks = SceneGeometry.__post_init__
+    monkeypatch.setattr(SceneGeometry, "__post_init__", lambda g: (made.append(g), checks(g)))
+    cfg = ScenarioConfig(method="riemann")
+    points = [(r, 0.3) for r in np.linspace(2.0, 50.0, 40).tolist()] + [(0.0, 0.3), (2.0, 1.5)]
+    rows = experiment_cli._rows_on_layout(cfg, points)
+    assert [row["error_code"] for row in rows[-3:]] == ["", "domain_error", "singularity_near_pi2"]
+    assert [(g.r, g.theta) for g in made] == [(0.0, 0.3), (2.0, 1.5)]
 
 
 def test_closed_form_edge_where_nu1_vanishes_keeps_its_code_in_a_grid():
@@ -713,6 +785,20 @@ def test_closed_form_edge_where_nu1_vanishes_is_an_error_row(capsys):
     row = parse_rows(out)[0]
     assert row["error_code"] == "domain_error"
     assert row["crb_theta_rad2"] == ""
+
+
+def test_rank_one_block_is_a_quiet_singular_row(capsys):
+    # two elements and one receiver: the block is rank one, yet round-off
+    # leaves det = 3.8e-4 against q11 q22 = 6.9e6; the det floor refuses it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out = run_cli(capsys, ["crb", "--K", "2", "--M", "1", "--I", "9", "--N_r", "1",
+                                     "--R", "50.0", "--r", "2.1594719766691397",
+                                     "--theta", "0.36335631808874247"])
+    assert code == 1
+    row = parse_rows(out)[0]
+    assert row["error_code"] == "singular_fisher"
+    assert row["crb_theta_rad2"] == row["crb_r_m2"] == ""
 
 
 # finite inputs whose arithmetic leaves the float range somewhere on a route

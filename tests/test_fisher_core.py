@@ -32,6 +32,7 @@ from nearfield_crb.fisher_core import (
     NormalizedFisher,
     amfs,
     composite_bundle,
+    det_floor,
     hspw_tx_bundle,
     pw_tx_bundle,
     rx_bundle,
@@ -404,6 +405,21 @@ def test_crb_validation_and_floors():
     assert crb(ok, 1.0, 1.0).crb_r > 0.0
     with pytest.raises(SingularFisher):
         crb(NormalizedFisher(q11=1e-9, q12=0.0, q22=5.0, q11_floor=2e-9), 1.0, 1.0)
+
+
+def test_determinant_floor_rests_on_the_diagonal_floors():
+    # det = 4 - q12^2 = 5e-6 is positive, but errors of the floors' size in
+    # the entries move det by up to about 9e-6
+    q12 = math.sqrt(4.0 - 5e-6)
+    assert det_floor(4.0, q12, 1.0, 1e-6, 1e-6) > NormalizedFisher(4.0, q12, 1.0).det
+    with pytest.raises(SingularFisher):
+        crb(NormalizedFisher(q11=4.0, q12=q12, q22=1.0, q11_floor=1e-6, q22_floor=1e-6), 1.0, 1.0)
+    # zero floors leave a plain sign check
+    assert crb(NormalizedFisher(q11=4.0, q12=q12, q22=1.0), 1.0, 1.0).crb_r > 0.0
+    # the rule reads alike on a grid's arrays
+    q = np.array([4.0, 4.0])
+    assert det_floor(q, np.array([q12, 0.0]), q / 4.0, 1e-6, 1e-6).tolist() == [
+        det_floor(4.0, q12, 1.0, 1e-6, 1e-6), det_floor(4.0, 0.0, 1.0, 1e-6, 1e-6)]
 
 
 def test_crb_theta_only_scalar_inverse():
