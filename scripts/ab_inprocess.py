@@ -9,20 +9,32 @@ Both packages are copied into one temporary directory as ``nfc_parent`` and
 ``nfc_change``; the package imports itself only relatively, so the two
 import side by side.  The ops are every op of the CHANGE checkout's
 benchmark catalogues (``bench/workloads.py``, all four workloads unless
-some are named), each made by its ``run_op``.  For ``ROUNDS`` rounds, each
-op runs once on both sides back to back, in an order flipped every round,
-so that a drift of the machine's speed favours neither side.  Per workload
-it prints each side's sum of per-op minimum times, their ratio (change /
-parent) and the count of ops whose outputs differ.  Timings in one process
-move far less than whole benchmark runs, which makes this the finer check
-of a change that should not move the speed.
+some are named), each made by its ``run_op``.  Each round runs every op
+once on both sides back to back, in an order flipped every round, so that
+a drift of the machine's speed favours neither side.  Around each op the
+loop does what ``bench/run.py``'s loop does: the speed probe before it and
+the reference check after it, so that the heap each op starts from is the
+one the benchmark leaves (an op timed right after another op meets other
+page faults).  Rounds go on until each side has about ``SECONDS_PER_SIDE``
+of op time, and at least ``MIN_ROUNDS``.  Per workload it prints each
+side's sum of per-op minimum times, their ratio (change / parent), the
+median over the rounds of the ratio of the two sides' op time in that round
+(the pairs are adjacent in time, so it holds still where a sum of minima
+rests on one lucky sample per op, as for the one-op ``validate``), each
+side's minor page faults per op (each op's median over the rounds, averaged
+over the ops), the count of ops whose outputs differ between the sides and
+the count of reference mismatches.  Timings in one process move far less
+than whole benchmark runs, which makes this the finer check of a change
+that should not move the speed.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import importlib
+import resource
 import shutil
+import statistics
 import sys
 import tempfile
 import time
@@ -30,7 +42,8 @@ import types
 from pathlib import Path
 
 SIDES = ("parent", "change")
-ROUNDS = 7
+SECONDS_PER_SIDE = 2.0
+MIN_ROUNDS = 3
 
 
 def runner(workloads, root: Path, tmp: Path, name: str):
@@ -43,29 +56,51 @@ def runner(workloads, root: Path, tmp: Path, name: str):
 
 
 def compare(workloads, runs: dict, workload: str) -> str:
+    import reference  # noqa: E402  (the CHANGE checkout's bench/, put on sys.path first)
+    from run import probe  # noqa: E402
+
     ops = [op for stratum in workloads.catalogue(workload).values() for op in stratum]
+    refs = reference.load(workload)
     side_ops = {
         side: [op if op.cfg is None else dataclasses.replace(op, cfg=config(**vars(op.cfg)))
                for op in ops]
         for side, (_, config) in runs.items()
     }
     best = {side: [float("inf")] * len(ops) for side in SIDES}
+    faults = {side: [[] for _ in ops] for side in SIDES}
+    per_round = {side: [] for side in SIDES}  # each round's op time
     texts = {side: [] for side in SIDES}
-    for rnd in range(ROUNDS):
+    mismatches = dict.fromkeys(SIDES, 0)
+    rnd = 0
+    while rnd < MIN_ROUNDS or min(map(sum, per_round.values())) < SECONDS_PER_SIDE:
         order = SIDES if rnd % 2 == 0 else SIDES[::-1]
-        for i in range(len(ops)):
+        for side in SIDES:
+            per_round[side].append(0.0)
+        for i, op in enumerate(ops):
             for side in order:
                 run_op = runs[side][0]
+                probe()
+                minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                 t0 = time.perf_counter()
                 out = run_op(side_ops[side][i])
-                best[side][i] = min(best[side][i], time.perf_counter() - t0)
+                took = time.perf_counter() - t0
+                faults[side][i].append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - minflt)
+                best[side][i] = min(best[side][i], took)
+                per_round[side][-1] += took
+                mismatches[side] += reference.mismatch(op, out, refs[op.key]) is not None
                 if rnd == 0:
                     texts[side].append(out.text)
+        rnd += 1
     total = {side: sum(best[side]) for side in SIDES}
+    per_op = {side: statistics.fmean(map(statistics.median, faults[side])) for side in SIDES}
+    paired = statistics.median(c / p for p, c in zip(per_round["parent"], per_round["change"]))
     differ = sum(a != b for a, b in zip(texts["parent"], texts["change"]))
-    return (f"{workload}: parent {total['parent'] * 1e3:.1f} ms, change "
+    return (f"{workload}: {rnd} rounds, parent {total['parent'] * 1e3:.1f} ms, change "
             f"{total['change'] * 1e3:.1f} ms, change/parent "
-            f"{total['change'] / total['parent']:.3f}, outputs differ on {differ} of {len(ops)} ops")
+            f"{total['change'] / total['parent']:.3f}, per round {paired:.3f}, minor faults "
+            f"per op parent {per_op['parent']:.0f} change {per_op['change']:.0f}, outputs differ on {differ} "
+            f"of {len(ops)} ops, reference mismatches parent {mismatches['parent']} change "
+            f"{mismatches['change']}")
 
 
 def side_by_side(argv: list, each, usage: str) -> int:

@@ -18,11 +18,12 @@ scenes (``direct`` the steering bundles, ``oracle`` the finite-difference
 oracle, else the closed-form sums).  A single point stays in plain floats,
 and ``_bounds`` turns its result into its bounds or error code.  A sweep
 keeps its points as columns from the grid to the CSV line: the scene checks
-run once on the r and theta arrays, the Fisher blocks come back as five
-columns, and one array tail inverts them all.  Only a row that the tail
-cannot vouch for (an invalid scene, a kept error, an oracle result, a block
-at a round-off floor) takes ``_bounds``, so each row is the one its point
-gets alone.  ``write_rows`` formats the cells a sweep's rows share once.
+run once on the r and theta arrays, the Fisher blocks of the direct or the
+closed-form route come back as five columns, and one array tail inverts
+them all.  Only a row that the tail cannot vouch for (an invalid scene, a
+kept error, an oracle result, a block at a round-off floor) takes
+``_bounds``, so each row is the one its point gets alone.  ``write_rows``
+formats the cells a sweep's rows share once.
 
 Scenario parameters come from defaults, then an optional --config file of
 flat ``key = value`` lines using the ScenarioConfig field names, then CLI
@@ -58,6 +59,7 @@ from .errors import CrbEngineError, DomainError, SingularFisher, error_code, out
 from .fisher_core import (
     NormalizedFisher,
     OracleResult,
+    bundle_fisher,
     bundle_fishers,
     crb,
     crb_theta_only,
@@ -272,14 +274,13 @@ def _row(cfg: ScenarioConfig, r: float, theta: float, crb_theta, crb_r, code: st
                  [code])[0]
 
 
-def _results(cfg: ScenarioConfig, layout: ArrayLayout, geoms: list) -> list:
-    """Each scene's result on cfg's route: its block, its oracle result or its kept error."""
+def _result(cfg: ScenarioConfig, layout: ArrayLayout, geom: SceneGeometry):
+    """The scene's result on cfg's route: its block, its oracle result or its kept error."""
     if cfg.method == "direct":
-        return bundle_fishers(layout, geoms, cfg.N_r, model=cfg.model)
+        return outcome(bundle_fisher, layout, geom, cfg.N_r, model=cfg.model)
     if cfg.method == "oracle":
-        return [outcome(full_fisher_oracle, layout, g, cfg.N_r, model=cfg.model) for g in geoms]
-    return [outcome(sums_fisher, layout, g, cfg.N_r, model=cfg.model, method="riemann")
-            for g in geoms]
+        return outcome(full_fisher_oracle, layout, geom, cfg.N_r, model=cfg.model)
+    return outcome(sums_fisher, layout, geom, cfg.N_r, model=cfg.model, method="riemann")
 
 
 def _rows_on_layout(cfg: ScenarioConfig, points, layout: ArrayLayout | None = None) -> list:
@@ -288,10 +289,10 @@ def _rows_on_layout(cfg: ScenarioConfig, points, layout: ArrayLayout | None = No
     Every evaluated CLI row comes from here.  The layout does not depend on
     r or theta: it is built once from cfg unless the caller passes one, and
     a layout's error goes on every point.  The method picks one route for
-    every valid scene: ``direct`` batched ``bundle_fishers`` calls,
-    ``oracle`` a ``full_fisher_oracle`` call per scene, any other the
-    closed-form sums.  A single point stays in plain floats: its scene, its
-    result and ``_bounds``.  Two or more points run as columns
+    every valid scene: ``direct`` the steering bundles, ``oracle`` a
+    ``full_fisher_oracle`` call per scene, any other the closed-form sums.
+    A single point stays in plain floats: its scene, its result
+    (``_result``) and ``_bounds``.  Two or more points run as columns
     (``_grid_rows``).
     """
     try:
@@ -305,7 +306,7 @@ def _rows_on_layout(cfg: ScenarioConfig, points, layout: ArrayLayout | None = No
     for r, theta in points:
         result = outcome(SceneGeometry, r, theta, cfg.R, cfg.vartheta)
         if isinstance(result, SceneGeometry):
-            result = _results(cfg, layout, [result])[0]
+            result = _result(cfg, layout, result)
         rows.append(_row(cfg, r, theta, *_bounds(cfg, layout, beta_sq, sigma_n_sq, result)))
     return rows
 
@@ -315,14 +316,15 @@ def _grid_rows(cfg: ScenarioConfig, points, layout: ArrayLayout, beta_sq: float,
     """The rows of two or more points, kept as columns from the scenes to the bounds.
 
     The scene checks run once on the r and theta arrays (``scenes_hold``).
-    The valid points' Fisher blocks come back as five columns: from one
-    ``sums_fishers`` grid, or packed from the bundle route's blocks.  One
-    array tail then does ``crb``'s floor and determinant tests, its two
-    divisions and the two roots; numpy's + - * / and sqrt round as Python's
-    float operations do, so each bound has the bits of the scalar path.  A
-    point that fails a test there, an invalid scene, a kept error and an
-    oracle result each take the scalar path (``_bounds``), so every row gets
-    the very bounds and code it gets alone.
+    The valid points' Fisher blocks come back as five columns from one
+    ``bundle_fishers`` or ``sums_fishers`` call on their grid, with no scene
+    object for a point that does not run alone.  One array tail then does
+    ``crb``'s floor and determinant tests, its two divisions and the two
+    roots; numpy's + - * / and sqrt round as Python's float operations do,
+    so each bound has the bits of the scalar path.  A point that fails a
+    test there, an invalid scene, a kept error and an oracle result each
+    take the scalar path (``_bounds``), so every row gets the very bounds
+    and code it gets alone.
     """
     r, theta = np.array(points, dtype=float).T
     valid = scenes_hold(r, theta, cfg.R, cfg.vartheta)
@@ -331,16 +333,13 @@ def _grid_rows(cfg: ScenarioConfig, points, layout: ArrayLayout, beta_sq: float,
     # point -> its scene error, kept error, oracle result or block, for the scalar path
     alone = {p: outcome(SceneGeometry, *points[p], cfg.R, cfg.vartheta)
              for p in np.flatnonzero(~valid).tolist()}
-    if cfg.method in ("direct", "oracle"):
-        geoms = [SceneGeometry(*points[p], cfg.R, cfg.vartheta) for p in index]
-        for p, result in zip(index, _results(cfg, layout, geoms)):
-            if isinstance(result, NormalizedFisher):
-                blocks[:, p] = result.q11, result.q12, result.q22, result.q11_floor, result.q22_floor
-            else:
-                alone[p] = result
+    if cfg.method == "oracle":
+        alone.update((p, _result(cfg, layout, SceneGeometry(*points[p], cfg.R, cfg.vartheta)))
+                     for p in index)
     elif index:
         grid = GeometryGrid.of_columns(r[valid], theta[valid], cfg.R, cfg.vartheta)
-        blocks[:, valid], errors = sums_fishers(layout, grid, cfg.N_r, model=cfg.model)
+        fishers = bundle_fishers if cfg.method == "direct" else sums_fishers
+        blocks[:, valid], errors = fishers(layout, grid, cfg.N_r, model=cfg.model)
         alone.update((index[p], error) for p, error in errors.items())
     q11, q12, q22, q11_floor, q22_floor = blocks
     gain_ok = outcome(require_gain_and_noise, beta_sq, sigma_n_sq) is None

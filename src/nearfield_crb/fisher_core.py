@@ -19,10 +19,10 @@ check that explicitly).
 The bundle route never builds that length N_t*N_r vector.  By the
 mixed-product rule <a (x) b, c (x) d> = <a, c><b, d>, every composite inner
 product is a short sum of products of one transmit-side and one
-receive-side inner product, so the Fisher inner products are one reduction
-(``_amf_set``) of two 3x3 Gram matrices of (value, d_theta, d_r): T on the
-transmit side and R on the receive side.  Each wave model says how its T
-is built (``_TX_GRAMS``):
+receive-side inner product, so the Fisher block is one reduction of two
+3x3 Gram matrices of (value, d_theta, d_r): T on the transmit side and R
+on the receive side.  Each wave model says how its T is built
+(``_TX_GRAMS``):
 
 * ``sw`` and ``hspw`` take T from their transmit vectors, with ``np.vdot``;
 * ``pw`` takes T from the planar pair over the K subarray centres and the
@@ -30,25 +30,41 @@ is built (``_TX_GRAMS``):
   Kronecker products, so no K*M vector is formed.
 
 R comes from the receive vectors; the one-element receiver is one constant
-bundle whose Gram is taken once.  ``amfs`` is the same reduction for a
-given pair of bundles.  ``full_fisher_oracle`` alone builds the composite
-vector on a product path, since it is the independent check.
+bundle whose Gram is taken once.  ``amfs`` is the first half of the
+reduction for a given pair of bundles.  ``full_fisher_oracle`` alone builds
+the composite vector on a product path, since it is the independent check.
 ``composite_bundle`` builds it with its derivatives but has no caller in
 the package: it is the tests' reference for ``amfs``, and the benchmark's
 tracer and reference recorder name it.  It moves out of the package once
 the recorder builds its own composite vector (ROADMAP item 2).
 
-Transmit bundles and Grams are built per batch of points on one layout
-(``tx_bundles``, ``bundle_fishers``): the element positions, k0 and the
-in-subarray offsets are computed once, and each vector is one row of a
-(points, elements) array.  Every element keeps the single point's
-operations in their order, so each row is bit for bit the bundle (and each
-Gram the Gram) of its point alone; a single point is the one-row batch.  A
-batch with a point that fails raises as that point would, and each of its
-points is then built alone (``errors.each_point``, the closed forms' rule
-too), so every point gets its own bundle or error.  ``bundle_fishers``
-bounds its own memory: it reduces each batch of ``BATCH_ELEMENTS``
-transmit elements to its Fisher blocks before it builds the next.
+One point or a grid of them.  ``bundle_fisher`` takes one scene, and
+``bundle_fishers`` a ``GeometryGrid``, returning ``(blocks, errors)`` as
+``crb_analytic.sums_fishers`` does: a (5, P) array of q11, q12, q22 and
+the two floors, one column per point, and each point's engine error.  The
+element positions, k0 and the offsets are taken once per call; the grid
+then runs in batches of at most ``BATCH_ELEMENTS`` vector entries, each
+vector one row of a (points, entries) array that keeps the single point's
+operations in their order.  The Grams stay one ``np.vdot`` per entry and
+row (``np.einsum('pi,pi->p')`` sums in another order and moves bits).  The
+reduction (``_inner_products``, then ``_schur``) is written once over real
+and imaginary parts, in ``pointwise`` style: one point's Python floats or
+a batch's arrays run the same lines, so each column is bit for bit the
+point's block alone.  Three things would break that:
+
+* numpy's array complex product may fuse its multiply and add, so every
+  product is written as real operations (``_mul``), which round as
+  Python's and numpy's scalar complex products do;
+* |z| is ``pointwise.hypot``: ``np.hypot`` on arrays and ``abs(complex)``
+  on floats both call libm's hypot, which ``math.hypot`` does not;
+* a square is ``pointwise.power(x, 2)``, libm's pow as Python's ``x ** 2``
+  calls it, which differs from x*x.
+
+Where a point raises alone its column reads NaN (``pointwise.checked``),
+and a batch that raises as a whole leaves all its columns NaN; each such
+column is evaluated again alone (``GeometryGrid.scene``), so every point
+gets its own block or error.  ``tx_bundles`` builds the bundles of a list
+of points the same way, in one batch where it can (``errors.each_point``).
 """
 
 from __future__ import annotations
@@ -66,10 +82,17 @@ from .array_layouts import (
     subarray_centers,
 )
 from .errors import (
-    DomainError, ElementCoincidence, IllConditioned, SingularFisher, each_point, outcome, unwrap,
+    CrbEngineError,
+    DomainError,
+    ElementCoincidence,
+    IllConditioned,
+    SingularFisher,
+    each_point,
+    outcome,
+    unwrap,
 )
-from .geometry import SceneGeometry, arrival_triangle
-from .pointwise import sqrt
+from .geometry import GeometryGrid, SceneGeometry, arrival_triangle
+from .pointwise import checked, cos, fails, hypot, power, sin, sqrt
 
 
 @dataclass(frozen=True)
@@ -169,9 +192,9 @@ def _targets(geoms: list) -> tuple:
 def _element_distances(n: np.ndarray, r, sin) -> np.ndarray:
     """Distances from the coordinates n to each target row.
 
-    r and sin come from ``_targets``.  Raises the error of a single point:
-    an overflow before a target on an element.  A batch raises it if any
-    row does, and ``tx_bundles`` then builds each point alone.
+    r and sin are floats or (P, 1) columns.  Raises the error of a single
+    point: an overflow before a target on an element.  A batch raises it if
+    any row does, and each of its points is then evaluated alone.
     """
     # when r * r and 2 n r sin both overflow, their difference is NaN
     with np.errstate(over="ignore", invalid="ignore"):
@@ -189,167 +212,80 @@ def _element_distances(n: np.ndarray, r, sin) -> np.ndarray:
 def _spherical_trio(n: np.ndarray, r, sin, cos, k0: float):
     """Unit-norm spherical-wave vectors over coordinates n, one row per target.
 
-    Returns the values and their theta- and r-derivatives.
+    Returns the values and their theta- and r-derivatives.  numpy divides a
+    complex array by a real c as (a + b 0, b - a 0) times 1/c, in a slow
+    loop.  A product with 1/c differs from that only where a or b is a zero
+    whose sign the + or - would flip, which no value entry (cos and sin of
+    a nonzero phase) and no derivative on a layout's coordinates has, and
+    in the sign bit of a NaN (a phase k0 dist past the float range, a
+    singular point either way).  So the scale and 1/dist are multiplied in.
     """
     dist = _element_distances(n, r, sin)
-    value = np.exp(-1j * k0 * dist) / math.sqrt(n.size)
-    d_theta = value * (1j * k0 * n * r * cos / dist)
-    d_r = value * (1j * k0 * (n * sin - r) / dist)
+    value = np.exp(-1j * k0 * dist) * (1.0 / math.sqrt(n.size))
+    inv = 1.0 / dist
+    d_theta = value * (1j * k0 * n * r * cos * inv)
+    d_r = value * (1j * k0 * (n * sin - r) * inv)
     return value, d_theta, d_r
 
 
 def _planar_pair(x: np.ndarray, sin, cos, k0: float):
-    """Unit-norm planar-wave vectors over coordinates x and their theta-derivatives."""
+    """Unit-norm planar-wave vectors over coordinates x and their theta-derivatives.
+
+    At sin(theta) = 0 the values' imaginary parts are signed zeros, whose
+    signs a product with the reciprocal scale would flip: they keep the
+    division (so does the receive vector at a zero arrival angle).
+    """
     value = np.exp(1j * k0 * x * sin) / math.sqrt(x.size)
     return value, value * (1j * k0 * x * cos)
 
 
-def _rows(*stacks):
-    """The rows of each stack, taken together; a 1-D vector is one row."""
-    return zip(*(np.atleast_2d(v) for v in stacks))
+def _k0(layout: ArrayLayout) -> float:
+    return 2.0 * math.pi / layout.lam
+
+
+# Each model's transmit vectors: model -> layout -> (r, sin, cos) -> the
+# (value, d_theta, d_r) rows.  What depends on the layout alone is taken
+# once; r, sin and cos are one point's floats or a batch's (P, 1) columns.
+
+def _sw_vectors(layout: ArrayLayout):
+    n, k0 = element_positions(layout), _k0(layout)
+    return lambda r, sin, cos: _spherical_trio(n, r, sin, cos, k0)
+
+
+def _pw_vectors(layout: ArrayLayout):
+    n, k0 = element_positions(layout), _k0(layout)
+
+    def build(r, sin, cos):
+        value, d_theta = _planar_pair(n, sin, cos, k0)
+        return value, d_theta, np.zeros_like(value)
+
+    return build
+
+
+def _hspw_vectors(layout: ArrayLayout):
+    require_widely_spaced(layout, "the hybrid model")
+    k0 = _k0(layout)
+    centers, offsets = subarray_centers(layout), centred_grid(layout.M, layout.d)
+
+    def build(r, sin, cos):
+        # the spherical trio over subarray centres (x) the planar pair over offsets
+        w, w_theta, w_r = _spherical_trio(centers, r, sin, cos, k0)
+        a, a_theta = _planar_pair(offsets, sin, cos, k0)
+        return _kron(w, a), _kron(w_theta, a) + _kron(w, a_theta), _kron(w_r, a)
+
+    return build
+
+
+_TX_VECTORS = {"sw": _sw_vectors, "hspw": _hspw_vectors, "pw": _pw_vectors}
 
 
 def _bundles(value, d_theta, d_r) -> list:
-    """One bundle per row of the stacked vectors."""
-    return [SteeringBundle(*row) for row in _rows(value, d_theta, d_r)]
+    """One bundle per row of the stacked vectors; a 1-D vector is one row."""
+    return [SteeringBundle(*row) for row in zip(*map(np.atleast_2d, (value, d_theta, d_r)))]
 
 
-def _sw_tx_bundles(layout: ArrayLayout, geoms: list) -> list:
-    n = element_positions(layout)
-    k0 = 2.0 * math.pi / layout.lam
-    r, sin, cos = _targets(geoms)
-    return _bundles(*_spherical_trio(n, r, sin, cos, k0))
-
-
-def _pw_tx_bundles(layout: ArrayLayout, geoms: list) -> list:
-    n = element_positions(layout)
-    k0 = 2.0 * math.pi / layout.lam
-    _, sin, cos = _targets(geoms)
-    value, d_theta = _planar_pair(n, sin, cos, k0)
-    return _bundles(value, d_theta, np.zeros_like(value))
-
-
-def _hspw_tx_bundles(layout: ArrayLayout, geoms: list) -> list:
-    require_widely_spaced(layout, "the hybrid model")
-    k0 = 2.0 * math.pi / layout.lam
-    centers = subarray_centers(layout)
-    r, sin, cos = _targets(geoms)
-    # the spherical trio over subarray centres (x) the planar pair over offsets
-    w, w_theta, w_r = _spherical_trio(centers, r, sin, cos, k0)
-    a, a_theta = _planar_pair(centred_grid(layout.M, layout.d), sin, cos, k0)
-    value = _kron(w, a)
-    d_theta = _kron(w_theta, a) + _kron(w, a_theta)
-    d_r = _kron(w_r, a)
-    return _bundles(value, d_theta, d_r)
-
-
-_TX_BATCHES = {"sw": _sw_tx_bundles, "hspw": _hspw_tx_bundles, "pw": _pw_tx_bundles}
-
-
-def _tx_gram(tx: SteeringBundle) -> tuple:
-    """Rows of the transmit Gram matrix t_ij = vdot(t_i, t_j).
-
-    0, 1, 2 index (value, d_theta, d_r).  ``_amf_set`` never reads t_12, so
-    it is not taken and left None.
-    """
-    t0, t1, t2 = tx.value, tx.d_theta, tx.d_r
-    vdot = np.vdot
-    return (
-        (vdot(t0, t0), vdot(t0, t1), vdot(t0, t2)),
-        (vdot(t1, t0), vdot(t1, t1), None),
-        (vdot(t2, t0), vdot(t2, t1), vdot(t2, t2)),
-    )
-
-
-def _rx_gram(rx: SteeringBundle) -> tuple:
-    """Rows of the receive Gram matrix r_ij = vdot(r_i, r_j); r_21 is never read.
-
-    The one-element receiver's Gram is the constant ``_ONE_ELEMENT_GRAM``.
-    """
-    if rx is _ONE_ELEMENT_RX:
-        return _ONE_ELEMENT_GRAM
-    r0, r1, r2 = rx.value, rx.d_theta, rx.d_r
-    vdot = np.vdot
-    return (
-        (vdot(r0, r0), vdot(r0, r1), vdot(r0, r2)),
-        (vdot(r1, r0), vdot(r1, r1), vdot(r1, r2)),
-        (vdot(r2, r0), None, vdot(r2, r2)),
-    )
-
-
-def _read_only(values) -> np.ndarray:
-    v = np.array(values, dtype=complex)
-    v.flags.writeable = False
-    return v
-
-
-# The one-element receiver (``rx_bundle`` at n_r = 1) is one shared bundle.
-# Its Gram is taken once, by the vdots of a copy: ``_rx_gram`` of the bundle
-# itself returns this constant.
-_ONE_ELEMENT_RX = SteeringBundle(_read_only([1.0]), _read_only([0.0]), _read_only([0.0]))
-_ONE_ELEMENT_GRAM = _rx_gram(replace(_ONE_ELEMENT_RX))
-
-
-def _vector_grams(build):
-    """A model's transmit Grams taken from its vectors (``_tx_gram``)."""
-    return lambda layout, geoms: [_tx_gram(tx) for tx in build(layout, geoms)]
-
-
-def _pair_gram(u0, u1) -> tuple:
-    """Rows of the 2x2 Gram matrix vdot(u_i, u_j), in Python complex numbers.
-
-    Their products overflow to inf or NaN without a warning, which
-    ``_amf_set`` then rejects.  vdot(u1, u0) is the conjugate of vdot(u0, u1).
-    """
-    g01 = complex(np.vdot(u0, u1))
-    return (complex(np.vdot(u0, u0)), g01), (g01.conjugate(), complex(np.vdot(u1, u1)))
-
-
-def _pw_tx_grams(layout: ArrayLayout, geoms: list) -> list:
-    """Planar-wave transmit Grams from K- and M-length factors.
-
-    An element's phase k0 (c_k + t_m) sin(theta) splits into its subarray
-    centre's and its in-subarray offset's, on every layout kind, so the
-    vectors are Kronecker products: value = w0 (x) a0 and d_theta =
-    w1 (x) a0 + w0 (x) a1, with (w0, w1) the planar pair over the K centres
-    and (a0, a1) the one over the M offsets; d_r = 0.  By the mixed-product
-    rule vdot(w (x) a, w' (x) a') = vdot(w, w') vdot(a, a'), so with
-    W_ij = vdot(w_i, w_j) and A_ij = vdot(a_i, a_j) the Gram needs no K*M
-    vector.  The element positions are still formed once per call: where
-    c_k + t_m loses an offset against a wide gap, the layout raises
-    ElementCoincidence as it does for the vectors.
-    """
-    element_positions(layout)
-    k0 = 2.0 * math.pi / layout.lam
-    _, sin, cos = _targets(geoms)
-    w = _planar_pair(subarray_centers(layout), sin, cos, k0)
-    a = _planar_pair(centred_grid(layout.M, layout.d), sin, cos, k0)
-    grams = []
-    for w0, w1, a0, a1 in _rows(*w, *a):
-        (w00, w01), (w10, w11) = _pair_gram(w0, w1)
-        (a00, a01), (a10, a11) = _pair_gram(a0, a1)
-        grams.append((
-            (w00 * a00, w01 * a00 + w00 * a01, 0j),
-            (w10 * a00 + w00 * a10, w11 * a00 + w10 * a01 + w01 * a10 + w00 * a11, None),
-            (0j, 0j, 0j),
-        ))
-    return grams
-
-
-# model -> how its transmit Grams are built; the bundle route's only table
-_TX_GRAMS = {
-    "sw": _vector_grams(_sw_tx_bundles),
-    "hspw": _vector_grams(_hspw_tx_bundles),
-    "pw": _pw_tx_grams,
-}
-
-
-def _build_each(builds: dict, layout: ArrayLayout, geoms: list, model: str) -> list:
-    """builds[model] at each geometry, in one batch where it can (``errors.each_point``)."""
-    if model not in builds:
-        return [DomainError(f"unknown wave model {model!r}")] * len(geoms)
-    build = builds[model]
-    return each_point(lambda batch: build(layout, batch), lambda g: build(layout, [g])[0], geoms)
+def _unknown_model(model: str) -> DomainError:
+    return DomainError(f"unknown wave model {model!r}")
 
 
 def tx_bundles(layout: ArrayLayout, geoms: list, model: str) -> list:
@@ -362,17 +298,13 @@ def tx_bundles(layout: ArrayLayout, geoms: list, model: str) -> list:
     like a single point, and then each point is built alone
     (``errors.each_point``).
     """
-    return _build_each(_TX_BATCHES, layout, geoms, model)
+    if model not in _TX_VECTORS:
+        return [_unknown_model(model)] * len(geoms)
 
+    def build(points):
+        return _bundles(*_TX_VECTORS[model](layout)(*_targets(points)))
 
-def _tx_grams(layout: ArrayLayout, geoms: list, model: str) -> list:
-    """The transmit Gram at each geometry, as ``tx_bundles`` builds bundles.
-
-    sw and hspw take theirs from the vectors; pw from its factors
-    (``_pw_tx_grams``).  Entry p is bit for bit the Gram at geoms[p] alone,
-    or the engine error the point raises.
-    """
-    return _build_each(_TX_GRAMS, layout, geoms, model)
+    return each_point(build, lambda g: build([g])[0], geoms)
 
 
 def sw_tx_bundle(layout: ArrayLayout, geom: SceneGeometry) -> SteeringBundle:
@@ -396,6 +328,31 @@ def require_receiver_size(n_r: int) -> None:
         raise DomainError(f"receiver size must be an integer >= 1, got {n_r!r}")
 
 
+def _column(x):
+    """A batch's array as a (P, 1) column; one point's float as it is."""
+    return x[:, None] if isinstance(x, np.ndarray) else x
+
+
+def _rx_vectors(layout: ArrayLayout, n_r: int):
+    """geom -> the receive (value, d_theta, d_r) at n_r >= 2 elements on this layout.
+
+    geom is one scene or a batch's ``GeometryGrid``; a tilted receiver or a
+    target at its centre raises from the arrival-angle derivatives (a
+    batch's point there gets NaN), before any vector is formed.
+    """
+    k0 = _k0(layout)
+    phase_rate = 1j * k0 * centred_grid(n_r, layout.d)
+    norm = math.sqrt(n_r)
+
+    def build(geom):
+        rho_sq, sinphi_theta, sinphi_r = map(_column, arrival_triangle(geom))
+        sinphi = _column(geom.r * sin(geom.theta)) / sqrt(rho_sq)
+        value = np.exp(phase_rate * sinphi) / norm
+        return value, value * phase_rate * sinphi_theta, value * phase_rate * sinphi_r
+
+    return build
+
+
 def rx_bundle(layout: ArrayLayout, n_r: int, geom: SceneGeometry) -> SteeringBundle:
     """Receive-side uniform-line bundle at the layout's spacing and wavelength.
 
@@ -407,16 +364,7 @@ def rx_bundle(layout: ArrayLayout, n_r: int, geom: SceneGeometry) -> SteeringBun
         # one element has no aperture, so the receiver's placement (tilt,
         # or a target at its centre) never enters the bound
         return _ONE_ELEMENT_RX
-    rho_sq, sinphi_theta, sinphi_r = arrival_triangle(geom)
-    sinphi = geom.r * math.sin(geom.theta) / math.sqrt(rho_sq)
-
-    offsets = centred_grid(n_r, layout.d)
-    k0 = 2.0 * math.pi / layout.lam
-    value = np.exp(1j * k0 * offsets * sinphi) / math.sqrt(n_r)
-    phase_rate = 1j * k0 * offsets
-    d_theta = value * phase_rate * sinphi_theta
-    d_r = value * phase_rate * sinphi_r
-    return SteeringBundle(value, d_theta, d_r)
+    return SteeringBundle(*_rx_vectors(layout, n_r)(geom))
 
 
 def composite_bundle(tx: SteeringBundle, rx: SteeringBundle) -> SteeringBundle:
@@ -427,41 +375,177 @@ def composite_bundle(tx: SteeringBundle, rx: SteeringBundle) -> SteeringBundle:
     return SteeringBundle(value, d_theta, d_r)
 
 
+# A Gram is the tuple of its entries g_ij = vdot(u_i, u_j) at these (i, j),
+# 0, 1, 2 indexing (value, d_theta, d_r); the reduction never reads t_12 or
+# r_21.  Each entry is a (re, im) pair of one point's Python floats or of a
+# batch's arrays.
+_TX_ENTRIES = ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2))
+_RX_ENTRIES = ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 2))
+_PAIR_ENTRIES = ((0, 0), (0, 1), (1, 1))
+
+
+def _gram(entries, vectors) -> tuple:
+    """vdot(vectors[i], vectors[j]) at each (i, j) of entries, as (re, im) pairs.
+
+    One point's 1-D vectors give Python floats; a batch's (P, N) stacks give
+    arrays with one entry per row, each the row's own ``np.vdot``.
+    """
+    vdot = np.vdot
+    if vectors[0].ndim == 1:
+        return tuple(_parts(complex(vdot(vectors[i], vectors[j]))) for i, j in entries)
+    rows = [list(v) for v in vectors]
+    dots = np.array([list(map(vdot, rows[i], rows[j])) for i, j in entries])
+    return tuple(zip(dots.real, dots.imag))
+
+
+def _parts(z: complex) -> tuple:
+    return z.real, z.imag
+
+
+def _mul(a, b) -> tuple:
+    """a * b for (re, im) pairs, rounded as Python's complex product rounds it."""
+    (ar, ai), (br, bi) = a, b
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _add(a, b) -> tuple:
+    return a[0] + b[0], a[1] + b[1]
+
+
+def _conj(a) -> tuple:
+    return a[0], -a[1]
+
+
+def _total(*terms) -> tuple:
+    """0 + terms[0] + terms[1] + ..., part by part, as a complex sum from 0."""
+    re = im = 0.0
+    for term in terms:
+        re, im = re + term[0], im + term[1]
+    return re, im
+
+
+def _vector_grams(vectors):
+    """A model's transmit Grams taken from its vectors, entry by entry; a row holds N_t entries."""
+
+    def setup(layout: ArrayLayout):
+        build = vectors(layout)
+        return (lambda r, sin, cos: _gram(_TX_ENTRIES, build(r, sin, cos))), layout.n_elements
+
+    return setup
+
+
+def _pw_tx_grams(layout: ArrayLayout):
+    """Planar-wave transmit Grams from K- and M-length factors.
+
+    An element's phase k0 (c_k + t_m) sin(theta) splits into its subarray
+    centre's and its in-subarray offset's, on every layout kind, so the
+    vectors are Kronecker products: value = w0 (x) a0 and d_theta =
+    w1 (x) a0 + w0 (x) a1, with (w0, w1) the planar pair over the K centres
+    and (a0, a1) the one over the M offsets; d_r = 0.  By the mixed-product
+    rule vdot(w (x) a, w' (x) a') = vdot(w, w') vdot(a, a'), so with
+    W_ij = vdot(w_i, w_j) and A_ij = vdot(a_i, a_j) the Gram needs no K*M
+    vector, and a batch row holds K + M entries; W_10 and A_10 are
+    conjugates.  The element positions are still formed once per call: where
+    c_k + t_m loses an offset against a wide gap, the layout raises
+    ElementCoincidence as it does for the vectors.
+    """
+    element_positions(layout)
+    k0 = _k0(layout)
+    centers, offsets = subarray_centers(layout), centred_grid(layout.M, layout.d)
+
+    def grams(r, sin, cos):
+        w00, w01, w11 = _gram(_PAIR_ENTRIES, _planar_pair(centers, sin, cos, k0))
+        a00, a01, a11 = _gram(_PAIR_ENTRIES, _planar_pair(offsets, sin, cos, k0))
+        w10, a10 = _conj(w01), _conj(a01)
+        zero = (0.0, 0.0)
+        return (
+            _mul(w00, a00), _add(_mul(w01, a00), _mul(w00, a01)), zero,
+            _add(_mul(w10, a00), _mul(w00, a10)),
+            _add(_add(_add(_mul(w11, a00), _mul(w10, a01)), _mul(w01, a10)), _mul(w00, a11)),
+            zero, zero, zero,
+        )
+
+    return grams, layout.K + layout.M
+
+
+# model -> layout -> (the transmit Gram at (r, sin, cos), the entries a batch
+# row holds); the bundle route's only table
+_TX_GRAMS = {"sw": _vector_grams(_sw_vectors), "hspw": _vector_grams(_hspw_vectors),
+             "pw": _pw_tx_grams}
+
+
+def _tx_grams(layout: ArrayLayout, model: str) -> tuple:
+    """The model's transmit Grams on this layout, and the entries a batch row holds."""
+    if model not in _TX_GRAMS:
+        raise _unknown_model(model)
+    return _TX_GRAMS[model](layout)
+
+
+def _read_only(values) -> np.ndarray:
+    v = np.array(values, dtype=complex)
+    v.flags.writeable = False
+    return v
+
+
+# The one-element receiver (``rx_bundle`` at n_r = 1) is one shared bundle,
+# whose Gram is taken once.
+_ONE_ELEMENT_RX = SteeringBundle(_read_only([1.0]), _read_only([0.0]), _read_only([0.0]))
+_ONE_ELEMENT_GRAM = _gram(_RX_ENTRIES, (_ONE_ELEMENT_RX.value, _ONE_ELEMENT_RX.d_theta,
+                                        _ONE_ELEMENT_RX.d_r))
+
+
+def _rx_gram(rx: SteeringBundle) -> tuple:
+    if rx is _ONE_ELEMENT_RX:
+        return _ONE_ELEMENT_GRAM
+    return _gram(_RX_ENTRIES, (rx.value, rx.d_theta, rx.d_r))
+
+
+def _rx_grams(layout: ArrayLayout, n_r: int):
+    """The receive Grams at n_r elements on this layout: geom -> Gram."""
+    require_receiver_size(n_r)
+    if n_r == 1:
+        return lambda geom: _ONE_ELEMENT_GRAM
+    build = _rx_vectors(layout, n_r)
+    return lambda geom: _gram(_RX_ENTRIES, build(geom))
+
+
 def amfs(tx: SteeringBundle, rx: SteeringBundle) -> AmfSet:
     """Inner products of the composite bundle kron(conj(tx), rx), factor by factor.
 
-    The reduction of the transmit and receive Gram matrices (``_amf_set``);
-    no vector of length N_t*N_r is formed.
+    The first half of the bundle route's reduction (``_inner_products``) on
+    the two bundles' Grams; no vector of length N_t*N_r is formed.
     """
-    return _amf_set(_tx_gram(tx), _rx_gram(rx))
+    t = _gram(_TX_ENTRIES, (tx.value, tx.d_theta, tx.d_r))
+    htheta_sq, hr_sq, h_sq, htheta_h, hr_h, htheta_hr = _inner_products(t, _rx_gram(rx))
+    return AmfSet(htheta_sq, hr_sq, h_sq, complex(*htheta_h), complex(*hr_h), complex(*htheta_hr))
 
 
-def _amf_set(t: tuple, r: tuple) -> AmfSet:
-    """The composite inner products from the two 3x3 Gram matrices.
+def _inner_products(t: tuple, r: tuple) -> tuple:
+    """The composite inner products from the two Grams (``AmfSet``'s fields, in order).
 
     vdot(conj(a) (x) b, conj(c) (x) d) = vdot(c, a) * vdot(b, d), so each
     entry is a short sum of products of transmit-side and receive-side
     inner products.  With the composite vectors value = conj(t0) (x) r0,
     d_theta = conj(t1) (x) r0 + conj(t0) (x) r1 and d_r = conj(t2) (x) r0 +
-    conj(t0) (x) r2, where 0, 1, 2 index (value, d_theta, d_r), each entry
-    below adds its terms in that order, starting from 0.  t_ij = vdot(t_i,
-    t_j) and r_ij likewise; t_12 and r_21 never enter.  A derivative norm
-    t11, t22, r11 or r22 that is not finite raises SingularFisher before any
-    product can overflow: a ``ua`` mirror spaced near the float range
-    squares its phase rates to inf.
+    conj(t0) (x) r2, each entry below adds its terms in that order,
+    starting from 0; the three real ones keep their real part, the others
+    their (re, im) pair.  A derivative norm t11, t22, r11 or r22 that is
+    not finite is SingularFisher: a ``ua`` mirror spaced near the float
+    range squares its phase rates to inf.
     """
-    (t00, t01, t02), (t10, t11, _), (t20, t21, t22) = t
-    (r00, r01, r02), (r10, r11, r12), (r20, _, r22) = r
-    if not (abs(t11) < math.inf and abs(t22) < math.inf
-            and abs(r11) < math.inf and abs(r22) < math.inf):
-        raise SingularFisher("a derivative norm is not finite")
-    return AmfSet(
-        htheta_sq=float((0 + t11 * r00 + t01 * r01 + t10 * r10 + t00 * r11).real),
-        hr_sq=float((0 + t22 * r00 + t02 * r02 + t20 * r20 + t00 * r22).real),
-        h_sq=float((0 + t00 * r00).real),
-        htheta_h=complex(0 + t01 * r00 + t00 * r10),
-        hr_h=complex(0 + t02 * r00 + t00 * r20),
-        htheta_hr=complex(0 + t21 * r00 + t01 * r02 + t20 * r10 + t00 * r12),
+    t00, t01, t02, t10, t11, t20, t21, t22 = t
+    r00, r01, r02, r10, r11, r12, r20, r22 = r
+    finite = ((hypot(*t11) < math.inf) & (hypot(*t22) < math.inf)
+              & (hypot(*r11) < math.inf) & (hypot(*r22) < math.inf))
+    h_sq = checked(_total(_mul(t00, r00))[0], fails(finite),
+                   lambda: SingularFisher("a derivative norm is not finite"))
+    return (
+        _total(_mul(t11, r00), _mul(t01, r01), _mul(t10, r10), _mul(t00, r11))[0],
+        _total(_mul(t22, r00), _mul(t02, r02), _mul(t20, r20), _mul(t00, r22))[0],
+        h_sq,
+        _total(_mul(t01, r00), _mul(t00, r10)),
+        _total(_mul(t02, r00), _mul(t00, r20)),
+        _total(_mul(t21, r00), _mul(t01, r02), _mul(t20, r10), _mul(t00, r12)),
     )
 
 
@@ -488,20 +572,26 @@ _EPS = float(np.finfo(float).eps)
 
 
 def normalized_fisher(a: AmfSet) -> NormalizedFisher:
-    """Project out the complex gain: the Schur complement of the gain block."""
-    if a.h_sq <= 0.0:
-        raise DomainError("zero-norm steering vector")
+    """Project out the complex gain: the Schur complement of the gain block (``_schur``)."""
+    return _schur(a.htheta_sq, a.hr_sq, a.h_sq, _parts(a.htheta_h), _parts(a.hr_h),
+                  _parts(a.htheta_hr))
+
+
+def _schur(htheta_sq, hr_sq, h_sq, htheta_h, hr_h, htheta_hr) -> NormalizedFisher:
+    """The floored block from ``_inner_products``' six entries, of one point or a batch.
+
+    A zero-norm vector is a DomainError; |h|^2 beyond the float range, as at
+    a carrier near 1e300 Hz, is SingularFisher.
+    """
+    h_sq = checked(h_sq, h_sq <= 0.0, lambda: DomainError("zero-norm steering vector"))
     try:
-        htheta_h_sq, hr_h_sq = abs(a.htheta_h) ** 2, abs(a.hr_h) ** 2
+        htheta_h_sq, hr_h_sq = power(hypot(*htheta_h), 2), power(hypot(*hr_h), 2)
     except OverflowError:
-        # inner products beyond ~1e154, as at a carrier near 1e300 Hz
         raise SingularFisher("the Fisher inner products overflow") from None
-    q11 = a.htheta_sq - htheta_h_sq / a.h_sq
-    q22 = a.hr_sq - hr_h_sq / a.h_sq
-    q12 = a.htheta_hr.real - (a.htheta_h.conjugate() * a.hr_h).real / a.h_sq
-    return floored_fisher(
-        q11, q12, q22, a.htheta_sq + htheta_h_sq / a.h_sq, a.hr_sq + hr_h_sq / a.h_sq
-    )
+    q11 = htheta_sq - htheta_h_sq / h_sq
+    q22 = hr_sq - hr_h_sq / h_sq
+    q12 = htheta_hr[0] - _mul(_conj(htheta_h), hr_h)[0] / h_sq
+    return floored_fisher(q11, q12, q22, htheta_sq + htheta_h_sq / h_sq, hr_sq + hr_h_sq / h_sq)
 
 
 def floored_fisher(q11, q12, q22, pre11, pre22) -> NormalizedFisher:
@@ -599,38 +689,99 @@ def bundle_crb(
 def bundle_fisher(
     layout: ArrayLayout, geom: SceneGeometry, n_r: int, *, model: str = "sw"
 ) -> NormalizedFisher:
-    """Normalized Fisher block assembled from the steering bundles."""
-    return unwrap(bundle_fishers(layout, [geom], n_r, model=model)[0])
+    """Normalized Fisher block assembled from the steering bundles.
 
-
-# Transmit elements, summed over the points, that one batch builds at once.
-# Peak RSS of ``bench/run.py --workload figures`` (8 s runs, 2-core Xeon
-# VM): 38.3 MB one point at a time; 38.5, 39.1, 42.3 and 44.2 MB at 2**12,
-# 2**14, 2**16 and no limit, at 10.2k, 11.6k, 10.9k and 11.1k rows/s.
-# 2**14 is the fastest and stays within 3% of one point at a time.
-BATCH_ELEMENTS = 2**14
-
-
-def bundle_fishers(layout: ArrayLayout, geoms: list, n_r: int, *, model: str = "sw") -> list:
-    """``bundle_fisher`` at each geometry, the transmit bundles built per batch.
-
-    Entry p is the block at geoms[p], or the engine error ``bundle_fisher``
-    raises there: a transmit error before a receive error.  A batch holds at
-    most ``BATCH_ELEMENTS`` transmit elements (at least one point) and lives
-    only inside its ``_batch_fishers`` call, so it is freed before the next.
+    A transmit error comes before a receive error.
     """
-    step = max(1, BATCH_ELEMENTS // layout.n_elements)
-    batches = (geoms[start : start + step] for start in range(0, len(geoms), step))
-    return [out for batch in batches for out in _batch_fishers(layout, batch, n_r, model)]
+    t = _tx_grams(layout, model)[0](geom.r, math.sin(geom.theta), math.cos(geom.theta))
+    return _schur(*_inner_products(t, _rx_grams(layout, n_r)(geom)))
 
 
-def _batch_fishers(layout: ArrayLayout, geoms: list, n_r: int, model: str) -> list:
-    """The blocks (or errors) of one batch, its transmit Grams built in one pass."""
+# Vector entries, summed over the points, that one batch builds at once: N_t
+# a point on the transmit side (K + M for pw's factors), N_r on the receive
+# side.  Measured with ``scripts/ab_inprocess.py`` on ``figures`` (2-core
+# Xeon VM; time against the per-point reduction it replaced, at 2**14, and
+# minor page faults per op, that code's 195-237):
+#   2**12  0.974, 1 fault   K = 12 leaves 2 points a batch: per-batch
+#                           overhead dominates
+#   2**13  0.861, 0 faults  every (P, N) complex128 temporary stays below
+#                           glibc's 128 KiB mmap threshold
+#   2**14  0.894, 1,413 faults: temporaries past the threshold are mapped
+#                           and unmapped again, batch after batch
+BATCH_ELEMENTS = 2**13
 
-    def fisher(geom, t):  # a transmit error first
-        return normalized_fisher(_amf_set(unwrap(t), _rx_gram(rx_bundle(layout, n_r, geom))))
 
-    return [outcome(fisher, *point) for point in zip(geoms, _tx_grams(layout, geoms, model))]
+def bundle_fishers(layout: ArrayLayout, grid: GeometryGrid, n_r: int, *, model: str) -> tuple:
+    """``bundle_fisher`` at each point of a grid, as columns.
+
+    Returns (blocks, errors) as ``crb_analytic.sums_fishers`` does: blocks
+    is a (5, P) array of q11, q12, q22, q11_floor and q22_floor, one column
+    per point, and errors maps each point that has an engine error to it
+    (its column reads NaN).  The transmit and receive Grams are gathered
+    into columns batch by batch (``_gram_columns``), and one reduction
+    turns them into the blocks.  A column that comes out non-finite, and
+    every column when the layout's set-up raises, is evaluated again alone
+    (``GeometryGrid.scene``), so each is what its point gets alone.
+    """
+    try:
+        (tx, row), rx = _tx_grams(layout, model), _rx_grams(layout, n_r)
+    except CrbEngineError:
+        blocks = np.full((5, grid.size), np.nan)
+    else:
+        scenes = _with_arrays(grid)
+        t = _gram_columns(lambda at: tx(*_targets_at(scenes, at)), grid.size, row)
+        g = _gram_columns(lambda at: rx(_scenes_at(scenes, at)), grid.size, n_r)
+        with np.errstate(all="ignore"):
+            nf = _schur(*_inner_products(t, g))
+        blocks = np.array([nf.q11, nf.q12, nf.q22, nf.q11_floor, nf.q22_floor])
+    errors = {}
+    for p in np.flatnonzero(~np.isfinite(blocks).all(axis=0)).tolist():
+        nf = outcome(bundle_fisher, layout, grid.scene(p), n_r, model=model)
+        if isinstance(nf, CrbEngineError):
+            errors[p] = nf
+        else:
+            blocks[:, p] = nf.q11, nf.q12, nf.q22, nf.q11_floor, nf.q22_floor
+    return blocks, errors
+
+
+def _gram_columns(gram, size: int, row: int) -> tuple:
+    """The Gram entries of points 0 to size, gram(slice) a batch at a time, as (re, im) columns.
+
+    A batch holds at most ``BATCH_ELEMENTS`` vector entries, row of them a
+    point (at least one point), and is freed before the next is built.  A
+    batch that raises leaves NaN in its columns.
+    """
+    re, im = np.full((2, len(_TX_ENTRIES), size), np.nan)
+    step = max(1, BATCH_ELEMENTS // row)
+    for start in range(0, size, step):
+        at = slice(start, start + step)
+        try:
+            with np.errstate(all="ignore"):
+                entries = gram(at)
+        except (CrbEngineError, ArithmeticError):
+            continue
+        for k, (entry_re, entry_im) in enumerate(entries):
+            re[k, at], im[k, at] = entry_re, entry_im
+    return tuple(zip(re, im))
+
+
+def _with_arrays(grid: GeometryGrid) -> GeometryGrid:
+    """The grid with r and theta as arrays, so that every point is one row."""
+    return replace(grid, r=np.broadcast_to(grid.r, grid.size),
+                   theta=np.broadcast_to(grid.theta, grid.size))
+
+
+def _targets_at(grid: GeometryGrid, at: slice) -> tuple:
+    """r, sin(theta) and cos(theta) of the grid's scenes at a slice, as columns (``_targets``)."""
+    theta = grid.theta[at]
+    return grid.r[at, None], sin(theta)[:, None], cos(theta)[:, None]
+
+
+def _scenes_at(grid: GeometryGrid, at: slice) -> GeometryGrid:
+    """The grid's scenes at a slice of its points."""
+    fields = (grid.r, grid.theta, grid.big_r, grid.vartheta)
+    cut = [f[at] if isinstance(f, np.ndarray) else f for f in fields]
+    return GeometryGrid(*cut, len(cut[0]))
 
 
 def full_fisher_oracle(

@@ -6,7 +6,9 @@ entry per grid point.  numpy's + - * /, abs and sqrt round exactly as
 Python's float operations do, so they act on whole arrays.  numpy's
 transcendentals and array powers do not always match libm, so ``sin``,
 ``cos``, ``tan``, ``atan``, ``log`` and ``power`` call libm once per
-element, as a float would.
+element, as a float would; ``hypot`` is libm's for both.  numpy's complex
+array product may fuse its multiplies and adds, so complex arithmetic that
+must match a float's is written on (re, im) pairs of real parts.
 
 A float raises where its arithmetic fails: a domain check, or a power that
 overflows.  An array cannot raise for one of its points, so ``checked`` and
@@ -40,6 +42,17 @@ sin, cos, tan, atan, log = map(_each, (math.sin, math.cos, math.tan, math.atan, 
 
 def sqrt(x):
     return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def hypot(x, y):
+    """|x + iy| through libm's hypot: ``np.hypot`` per element, ``abs(complex)`` for floats.
+
+    ``math.hypot`` rounds otherwise.  A float whose magnitude overflows
+    raises OverflowError, as ``abs`` does; an array element is inf.
+    """
+    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+        return np.hypot(x, y)
+    return abs(complex(x, y))
 
 
 def _pow_or_nan(x: float, e) -> float:
@@ -79,6 +92,11 @@ def some(cond) -> bool:
 def every(cond) -> bool:
     """Whether cond holds for one point, or for every point of a grid."""
     return bool(cond.all()) if isinstance(cond, np.ndarray) else cond
+
+
+def fails(cond):
+    """Where cond does not hold: not cond for one point, per element for a grid."""
+    return ~cond if isinstance(cond, np.ndarray) else not cond
 
 
 def checked(value, bad, error):

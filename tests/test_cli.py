@@ -690,6 +690,20 @@ def test_closed_form_sweep_makes_a_scene_only_for_a_point_that_runs_alone(monkey
     assert [(g.r, g.theta) for g in made] == [(0.0, 0.3), (2.0, 1.5)]
 
 
+def test_direct_sweep_makes_a_scene_only_for_a_point_that_runs_alone(monkeypatch):
+    # the bundle route's grid needs no scene objects either: only the
+    # invalid point and the target at the receiver's centre (a column the
+    # grid hands back NaN, to run alone) become scenes
+    made = []
+    checks = SceneGeometry.__post_init__
+    monkeypatch.setattr(SceneGeometry, "__post_init__", lambda g: (made.append(g), checks(g)))
+    cfg = ScenarioConfig(method="direct", N_r=4, theta=0.0)
+    points = [(r, 0.0) for r in np.linspace(2.0, 45.0, 40).tolist()] + [(0.0, 0.0), (50.0, 0.0)]
+    rows = experiment_cli._rows_on_layout(cfg, points)
+    assert [row["error_code"] for row in rows[-3:]] == ["", "domain_error", "degenerate_geometry"]
+    assert [(g.r, g.theta) for g in made] == [(0.0, 0.0), (50.0, 0.0)]
+
+
 def test_closed_form_edge_where_nu1_vanishes_keeps_its_code_in_a_grid():
     # an edge at x = 1 where sin(theta) rounds to 1 (see the crb test below)
     cfg = ScenarioConfig(K=2, I=3, model="hspw", method="riemann")
@@ -917,8 +931,8 @@ def test_error_shared_by_a_sweep_is_not_raised_per_point(monkeypatch):
     # a batch's layout error is one object for all its points; raising it
     # once a point would chain one traceback entry a point onto it
     shared = InvalidLayout("shared")
-    monkeypatch.setattr(experiment_cli, "bundle_fishers",
-                        lambda layout, geoms, n_r, *, model: [shared] * len(geoms))
+    monkeypatch.setattr(experiment_cli, "bundle_fishers", lambda layout, grid, n_r, *, model: (
+        np.full((5, grid.size), np.nan), dict.fromkeys(range(grid.size), shared)))
     rows = run_sweep(ScenarioConfig(K=3, M=16, I=4, theta=0.3), "r", 1.0, 2.0, 50)
     assert [row["error_code"] for row in rows] == ["invalid_layout"] * 50
     assert shared.__traceback__ is None
@@ -1044,24 +1058,36 @@ def test_a_batch_that_fails_otherwise_raises():
 
 
 def test_no_figure_transmit_batch_falls_back_point_by_point(monkeypatch):
-    # fig3-fig9 build 98 transmit batches of two or more points and none of
-    # them raises, so building points alone costs the figures nothing; the
-    # bundle route builds its batches through the transmit Gram table
+    # fig3-fig9 build 148 transmit batches of two or more points, none of
+    # them raises and no point runs alone, so building points alone costs
+    # the figures nothing; the bundle route builds its batches through the
+    # transmit Gram table
     batches = []
-    for model, build in list(fisher_core._TX_GRAMS.items()):
-        def spy(layout, geoms, build=build):
-            try:
-                out = build(layout, geoms)
-            except Exception as exc:
-                batches.append((len(geoms), type(exc).__name__))
-                raise
-            batches.append((len(geoms), None))
-            return out
-        monkeypatch.setitem(fisher_core._TX_GRAMS, model, spy)
+    for model, setup in list(fisher_core._TX_GRAMS.items()):
+        def spy_setup(layout, setup=setup):
+            build, row = setup(layout)
+
+            def spy(r, sin, cos):
+                size = len(r) if isinstance(r, np.ndarray) else 1
+                try:
+                    out = build(r, sin, cos)
+                except Exception as exc:
+                    batches.append((size, type(exc).__name__))
+                    raise
+                batches.append((size, None))
+                return out
+
+            return spy, row
+        monkeypatch.setitem(fisher_core._TX_GRAMS, model, spy_setup)
+    alone = []
+    real_alone = fisher_core.bundle_fisher
+    monkeypatch.setattr(fisher_core, "bundle_fisher",
+                        lambda *args, **kwargs: (alone.append(args), real_alone(*args, **kwargs))[1])
     for figure in experiment_cli.FIGURES.values():
         figure()
     assert any(size > 1 for size, _ in batches)
     assert [b for b in batches if b[1] is not None] == []
+    assert alone == []
 
 
 # Scenes each route must accept or reject alike: one error code on every

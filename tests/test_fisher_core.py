@@ -39,6 +39,7 @@ from nearfield_crb.fisher_core import (
     sw_tx_bundle,
 )
 from nearfield_crb.errors import outcome
+from nearfield_crb.geometry import GeometryGrid
 
 STRONG = SceneGeometry(r=0.04, theta=0.4, big_r=2.0)
 
@@ -188,14 +189,15 @@ def test_factored_planar_gram_matches_explicit_vectors(kind, shape, theta):
     geom = SceneGeometry(r=1.5, theta=theta, big_r=20.0)
     tx = pw_tx_bundle(lay, geom)
     vectors = (tx.value, tx.d_theta, tx.d_r)
-    gram = fisher_core._tx_grams(lay, [geom], "pw")[0]
+    gram = fisher_core._tx_grams(lay, "pw")[0](*fisher_core._targets([geom]))
+    entries = dict(zip(fisher_core._TX_ENTRIES, gram))
     for i, u in enumerate(vectors):
         for j, w in enumerate(vectors):
             if (i, j) == (1, 2):
-                assert gram[i][j] is None  # never read
+                assert (i, j) not in entries  # never read
                 continue
             scale = np.linalg.norm(u) * np.linalg.norm(w)
-            assert abs(gram[i][j] - np.vdot(u, w)) <= 1e-13 * scale, (i, j)
+            assert abs(complex(*entries[i, j]) - np.vdot(u, w)) <= 1e-13 * scale, (i, j)
 
 
 def bits(bundle):
@@ -223,9 +225,12 @@ def word_bits(x):
     return np.array([x]).view(np.uint64).tolist()
 
 
-def gram_bits(gram):
-    """A Gram's rows as IEEE words; an entry never read stays None."""
-    return [[None if v is None else word_bits(v) for v in row] for row in gram]
+def gram_bits(gram, p=None):
+    """A Gram's entries as IEEE words: one point's, or point p of a batch's (a float is every point's)."""
+    def at(x):
+        return x[p] if p is not None and isinstance(x, np.ndarray) else x
+
+    return [word_bits(complex(at(re), at(im))) for re, im in gram]
 
 
 AMF_FIELDS = ("htheta_sq", "hr_sq", "h_sq", "htheta_h", "hr_h", "htheta_hr")
@@ -255,18 +260,103 @@ def test_batched_bundles_and_amfs_are_bit_identical_to_single_points(model, shap
             for name in AMF_FIELDS:
                 assert word_bits(getattr(got, name)) == word_bits(getattr(ref, name)), name
     # the transmit Grams and blocks of the bundle route, the same way
-    for geom, gram in zip(geoms, fisher_core._tx_grams(lay, geoms, model)):
-        assert gram_bits(gram) == gram_bits(fisher_core._tx_grams(lay, [geom], model)[0])
+    grams = fisher_core._tx_grams(lay, model)[0]
+    batch = grams(*fisher_core._targets(geoms))
+    for p, geom in enumerate(geoms):
+        assert gram_bits(batch, p) == gram_bits(grams(*fisher_core._targets([geom])))
     for n_r in (1, 4, 35):
-        blocks = fisher_core.bundle_fishers(lay, geoms, n_r, model=model)
-        for geom, nf in zip(geoms, blocks):
-            want = outcome(bundle_fisher, lay, geom, n_r, model=model)
-            if isinstance(want, CrbEngineError):
-                assert (type(nf), str(nf)) == (type(want), str(want))
-            else:
-                assert [word_bits(getattr(nf, f)) for f in NF_FIELDS] == [
-                    word_bits(getattr(want, f)) for f in NF_FIELDS
-                ]
+        assert_columns_are_single_points(lay, geoms, n_r, model)
+
+
+def assert_columns_are_single_points(lay, geoms, n_r, model):
+    """Each column of ``bundle_fishers`` on geoms is ``bundle_fisher`` at its point, word for word."""
+    blocks, errors = fisher_core.bundle_fishers(lay, GeometryGrid.of(geoms), n_r, model=model)
+    assert blocks.shape == (5, len(geoms))
+    for p, geom in enumerate(geoms):
+        want = outcome(bundle_fisher, lay, geom, n_r, model=model)
+        if isinstance(want, CrbEngineError):
+            assert (type(errors[p]), str(errors[p])) == (type(want), str(want))
+            assert np.isnan(blocks[:, p]).all()
+        else:
+            assert p not in errors
+            assert [word_bits(v) for v in blocks[:, p].tolist()] == [
+                word_bits(getattr(want, f)) for f in NF_FIELDS
+            ]
+    return errors
+
+
+@pytest.mark.parametrize("vartheta", [0.0, 0.1])
+@pytest.mark.parametrize("n_r", [1, 4])
+@pytest.mark.parametrize("model", ["sw", "hspw", "pw"])
+def test_grid_columns_are_each_point_alone(monkeypatch, model, n_r, vartheta):
+    # batches of three points (five of pw's shorter rows) cut the sweep
+    # mid-way; at theta just below pi/2 the sine rounds to 1, so a target at
+    # the last element's coordinate sits on it (sw), r = 1e155 squares to
+    # inf (sw and hspw): each raises alone and takes its batch with it.  At
+    # r = R on broadside the target is at the receiver's centre, a column
+    # that comes out NaN; a tilted receiver aperture fails every point
+    lay = std_wsms(3, 4, 2)
+    monkeypatch.setattr(fisher_core, "BATCH_ELEMENTS", 3 * lay.n_elements + 1)
+    near = math.nextafter(math.pi / 2.0, 0.0)
+    edge = float(fisher_core.element_positions(lay)[-1])
+    scenes = [(0.5, 0.3), (2.0, -1.1), (edge, near), (7.0, 0.0), (1e155, 0.2), (20.0, 0.0),
+              (3.0, 1.5), (40.0, -0.4), (0.05, 0.0), (11.0, 0.7), (60.0, 0.0)]
+    geoms = [SceneGeometry(r=r, theta=theta, big_r=20.0, vartheta=vartheta) for r, theta in scenes]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        errors = assert_columns_are_single_points(lay, geoms, n_r, model)
+    codes = {p: type(e) for p, e in errors.items()}
+    if model == "sw":
+        assert codes[2] is ElementCoincidence
+    if model != "pw":
+        assert codes[4] is SingularFisher
+    if n_r > 1 and vartheta == 0.0:
+        assert codes[5] is DegenerateGeometry
+    if n_r > 1 and vartheta != 0.0:
+        assert set(codes.values()) <= {DomainError, ElementCoincidence, SingularFisher}
+        assert len(codes) == len(geoms)
+    assert len(codes) < len(geoms) or n_r > 1 and vartheta != 0.0
+
+
+def test_reduction_gives_floats_and_arrays_the_same_bits():
+    # random Gram entries over 60 orders of magnitude, where libm's hypot
+    # and pow(x, 2) part from math.hypot and x * x; one point's floats and
+    # the arrays of all of them go through the same lines
+    rng = np.random.default_rng(7)
+    size = 4000
+
+    def entries():
+        parts = rng.standard_normal((8, 2, size)) * np.exp(rng.uniform(-30.0, 30.0, (8, 2, size)))
+        parts[0, 0], parts[0, 1] = abs(parts[0, 0]), 0.0  # the value's norm: h_sq > 0
+        return [tuple(pair) for pair in parts]
+
+    t, r = entries(), entries()
+    t[4][0][:3] = (math.inf, math.nan, 1.0)  # t11 not finite: SingularFisher alone
+    t[0][0][3], t[0][1][3] = 0.0, 0.0  # h_sq = 0: DomainError alone
+    with np.errstate(all="ignore"):
+        products = fisher_core._inner_products(t, r)
+        grid = fisher_core._schur(*products)
+    columns = np.array([getattr(grid, f) for f in NF_FIELDS])
+    raised = {}
+    for p in range(size):
+        def at(gram):
+            return [(float(re[p]), float(im[p])) for re, im in gram]
+
+        alone = outcome(lambda: fisher_core._schur(*fisher_core._inner_products(at(t), at(r))))
+        if isinstance(alone, CrbEngineError):
+            raised[p] = type(alone)
+            assert not np.isfinite(columns[:, p]).all(), p
+        else:
+            assert [word_bits(v) for v in columns[:, p].tolist()] == [
+                word_bits(getattr(alone, f)) for f in NF_FIELDS
+            ], p
+    assert raised == {0: SingularFisher, 1: SingularFisher, 3: DomainError}
+    # the entries reach both traps
+    re, im = products[3]
+    hyp = np.hypot(re, im)
+    assert any(math.hypot(x, y) != h for x, y, h in zip(re.tolist(), im.tolist(), hyp.tolist()))
+    squares = [h ** 2 for h in hyp.tolist() if h < 1e150]
+    assert any(sq != h * h for sq, h in zip(squares, [h for h in hyp.tolist() if h < 1e150]))
 
 
 def test_batched_bundles_give_each_point_its_own_error():
@@ -299,7 +389,9 @@ def test_batched_bundles_give_each_point_its_own_error():
 def test_empty_batch_gives_no_bundles(model):
     lay = std_wsms(2, 3, 0)
     assert fisher_core.tx_bundles(lay, [], model) == []
-    assert fisher_core.bundle_fishers(lay, [], 4, model=model) == []
+    empty = GeometryGrid(np.empty(0), np.empty(0), 20.0, 0.0, 0)
+    blocks, errors = fisher_core.bundle_fishers(lay, empty, 4, model=model)
+    assert blocks.shape == (5, 0) and errors == {}
 
 
 def test_batched_bundles_give_every_point_a_layout_error():
@@ -328,18 +420,19 @@ def test_bundle_fisher_allocates_no_composite_vector(model):
 @pytest.mark.parametrize("vartheta", [0.0, 0.1])
 @pytest.mark.parametrize("model", ["sw", "hspw", "pw"])
 def test_bundle_fishers_releases_each_batch(model, vartheta):
-    # K=12, M=128: a batch holds 10 points, so 40 points are four batches;
-    # a batch still alive when the next is built would raise the peak.  A
-    # tilted receiver makes every point a receive-side error.
+    # K=12, M=128: a batch holds 5 points (58 of pw's, whose rows hold the
+    # K + M factor entries), so 4 * step points are four batches; a batch
+    # still alive when the next is built would raise the peak.  A tilted
+    # receiver makes every point a receive-side error.
     lay = std_wsms(12, 128, 3)
-    step = fisher_core.BATCH_ELEMENTS // lay.n_elements
+    step = fisher_core.BATCH_ELEMENTS // fisher_core._tx_grams(lay, model)[1]
     geoms = [SceneGeometry(r=2.0 + 0.5 * p, theta=0.4, big_r=50.0, vartheta=vartheta)
              for p in range(4 * step)]
 
     def peak(points):
         tracemalloc.start()
         try:
-            fisher_core.bundle_fishers(lay, points, 4, model=model)
+            fisher_core.bundle_fishers(lay, GeometryGrid.of(points), 4, model=model)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

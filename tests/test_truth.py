@@ -33,14 +33,20 @@ def figure_scenes() -> tuple:
     """(layout, geom, n_r, model) at the first and last point of each
     direct-route call that fig3-fig9 make, without repeats."""
     calls = []
-    real = experiment_cli.bundle_fishers
+    real, real_one = experiment_cli.bundle_fishers, experiment_cli.bundle_fisher
 
-    def record(layout, geoms, n_r, *, model):
-        calls.extend((layout, g, n_r, model) for g in geoms[:: max(1, len(geoms) - 1)])
-        return real(layout, geoms, n_r, model=model)
+    def record(layout, grid, n_r, *, model):
+        ends = range(0, grid.size, max(1, grid.size - 1))
+        calls.extend((layout, grid.scene(p), n_r, model) for p in ends)
+        return real(layout, grid, n_r, model=model)
+
+    def record_one(layout, geom, n_r, *, model):
+        calls.append((layout, geom, n_r, model))
+        return real_one(layout, geom, n_r, model=model)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(experiment_cli, "bundle_fishers", record)
+        patch.setattr(experiment_cli, "bundle_fisher", record_one)
         for rows in experiment_cli.FIGURES.values():
             rows()
     return tuple(dict.fromkeys(calls))
