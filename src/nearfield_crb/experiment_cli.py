@@ -11,7 +11,10 @@ Output is UTF-8 CSV on stdout (or --out FILE) with a fixed column set, one
 row per evaluated grid point.  Points that hit a documented singularity or
 precondition produce a row with an error_code and blank bound columns; a
 sweep never aborts mid-grid.  Everything is deterministic, so reruns are
-byte-identical.
+byte-identical.  The ``direct`` rows do not depend on the size of
+OpenBLAS's thread pool either: an inner product long enough for OpenBLAS
+to split across its threads is summed in fixed parts
+(``fisher_core._dots``).
 
 Each row takes one path: the method picks one route for all of a call's
 scenes (``direct`` the steering bundles, ``oracle`` the finite-difference

@@ -24,7 +24,7 @@ receive-side inner product, so the Fisher block is one reduction of two
 on the receive side.  Each wave model says how its T is built
 (``_TX_GRAMS``):
 
-* ``sw`` and ``hspw`` take T from their transmit vectors, with ``np.vdot``;
+* ``sw`` and ``hspw`` take T from their transmit vectors (``_gram``);
 * ``pw`` takes T from the planar pair over the K subarray centres and the
   one over the M in-subarray offsets (``_pw_tx_grams``): its vectors are
   Kronecker products, so no K*M vector is formed.
@@ -45,8 +45,9 @@ the two floors, one column per point, and each point's engine error.  The
 element positions, k0 and the offsets are taken once per call; the grid
 then runs in batches of at most ``BATCH_ELEMENTS`` vector entries, each
 vector one row of a (points, entries) array that keeps the single point's
-operations in their order.  The Grams stay one ``np.vdot`` per entry and
-row (``np.einsum('pi,pi->p')`` sums in another order and moves bits).  The
+operations in their order.  A batch's Gram entry is one ``np.vecdot``,
+which sums each row as that row's ``np.vdot`` does (``np.einsum('pi,pi->p')``
+sums in another order and moves bits).  The
 reduction (``_inner_products``, then ``_schur``) is written once over real
 and imaginary parts, in ``pointwise`` style: one point's Python floats or
 a batch's arrays run the same lines, so each column is bit for bit the
@@ -206,7 +207,7 @@ def _element_distances(n: np.ndarray, r, sin) -> np.ndarray:
         if not np.isfinite(rnt).all():
             raise SingularFisher("element distances overflow: the aperture is too wide")
         raise ElementCoincidence("target coincides with an array element")
-    return np.sqrt(rnt)
+    return np.sqrt(rnt, out=rnt)
 
 
 def _spherical_trio(n: np.ndarray, r, sin, cos, k0: float):
@@ -219,13 +220,31 @@ def _spherical_trio(n: np.ndarray, r, sin, cos, k0: float):
     a nonzero phase) and no derivative on a layout's coordinates has, and
     in the sign bit of a NaN (a phase k0 dist past the float range, a
     singular point either way).  So the scale and 1/dist are multiplied in.
+
+    Each derivative is the value times i b, with b its real phase rate: b
+    is formed in real arithmetic, made the complex (b 0 - 0 1, b 1 + 0 0)
+    and multiplied by the value.  The complex chain 1j k0 ... this replaces
+    builds a coefficient with the same imaginary part (b, in the same
+    order) and a zero real part of the same sign (the tests check it, at
+    theta = 0 and on an element at n = 0 too), so the products are bit for
+    bit the same, with two complex passes a derivative instead of four.
+    Each step that ends an array's use writes into it (``out=``, ``*=``):
+    the same operations in the same order, without a fresh temporary.
     """
     dist = _element_distances(n, r, sin)
-    value = np.exp(-1j * k0 * dist) * (1.0 / math.sqrt(n.size))
-    inv = 1.0 / dist
-    d_theta = value * (1j * k0 * n * r * cos * inv)
-    d_r = value * (1j * k0 * (n * sin - r) * inv)
-    return value, d_theta, d_r
+    value = -1j * k0 * dist
+    np.exp(value, out=value)
+    value *= 1.0 / math.sqrt(n.size)
+    inv = np.divide(1.0, dist, out=dist)
+    rate_theta = k0 * n * r
+    rate_theta *= cos
+    rate_theta *= inv
+    rate_r = n * sin - r
+    np.multiply(k0, rate_r, out=rate_r)
+    rate_r *= inv
+    d_theta, d_r = rate_theta * 1j, rate_r * 1j
+    # value * (i b), value first as in the chain it replaces
+    return value, np.multiply(value, d_theta, out=d_theta), np.multiply(value, d_r, out=d_r)
 
 
 def _planar_pair(x: np.ndarray, sin, cos, k0: float):
@@ -271,7 +290,9 @@ def _hspw_vectors(layout: ArrayLayout):
         # the spherical trio over subarray centres (x) the planar pair over offsets
         w, w_theta, w_r = _spherical_trio(centers, r, sin, cos, k0)
         a, a_theta = _planar_pair(offsets, sin, cos, k0)
-        return _kron(w, a), _kron(w_theta, a) + _kron(w, a_theta), _kron(w_r, a)
+        d_theta = _kron(w_theta, a)
+        d_theta += _kron(w, a_theta)
+        return _kron(w, a), d_theta, _kron(w_r, a)
 
     return build
 
@@ -387,15 +408,39 @@ _PAIR_ENTRIES = ((0, 0), (0, 1), (1, 1))
 def _gram(entries, vectors) -> tuple:
     """vdot(vectors[i], vectors[j]) at each (i, j) of entries, as (re, im) pairs.
 
-    One point's 1-D vectors give Python floats; a batch's (P, N) stacks give
-    arrays with one entry per row, each the row's own ``np.vdot``.
+    One point's 1-D vectors give Python floats, each entry one ``np.vdot``.
+    A batch's (P, N) stacks give arrays with one entry per row, each entry
+    one ``np.vecdot``: it conjugates its first argument and hands each row
+    to the BLAS zdotc that ``np.vdot`` calls, so every row's entry is bit
+    for bit the row's own ``np.vdot``, with no Python call per row.  Either
+    way a row longer than ``_BLAS_SPLIT`` is summed in parts (``_dots``).
     """
-    vdot = np.vdot
     if vectors[0].ndim == 1:
-        return tuple(_parts(complex(vdot(vectors[i], vectors[j]))) for i, j in entries)
-    rows = [list(v) for v in vectors]
-    dots = np.array([list(map(vdot, rows[i], rows[j])) for i, j in entries])
+        return tuple(_parts(complex(_dots(np.vdot, vectors[i], vectors[j]))) for i, j in entries)
+    dots = np.array([_dots(np.vecdot, vectors[i], vectors[j]) for i, j in entries])
     return tuple(zip(dots.real, dots.imag))
+
+
+# OpenBLAS sums a complex dot product longer than this on all its threads,
+# each thread a contiguous part, so the bits of a longer sum would depend on
+# the size of its thread pool.
+_BLAS_SPLIT = 10_000
+
+
+def _dots(dot, a: np.ndarray, b: np.ndarray):
+    """dot(a, b), ``np.vdot`` of two vectors or ``np.vecdot`` of two stacks of rows.
+
+    A row longer than ``_BLAS_SPLIT`` is summed as its first (n + 1) // 2
+    entries plus the rest, each part split again until none is longer, so
+    that BLAS sums every part on one thread.  Up to twice ``_BLAS_SPLIT``
+    that is the sum OpenBLAS forms on two threads; past it the split
+    defines the bits.  Either way they no longer depend on the pool.
+    """
+    n = a.shape[-1]
+    if n <= _BLAS_SPLIT:
+        return dot(a, b)
+    h = (n + 1) // 2
+    return _dots(dot, a[..., :h], b[..., :h]) + _dots(dot, a[..., h:], b[..., h:])
 
 
 def _parts(z: complex) -> tuple:
@@ -445,13 +490,25 @@ def _pw_tx_grams(layout: ArrayLayout):
     rule vdot(w (x) a, w' (x) a') = vdot(w, w') vdot(a, a'), so with
     W_ij = vdot(w_i, w_j) and A_ij = vdot(a_i, a_j) the Gram needs no K*M
     vector, and a batch row holds K + M entries; W_10 and A_10 are
-    conjugates.  The element positions are still formed once per call: where
-    c_k + t_m loses an offset against a wide gap, the layout raises
-    ElementCoincidence as it does for the vectors.
+    conjugates.
+
+    Where c_k + t_m loses an offset against a wide gap, the layout raises
+    ElementCoincidence exactly where ``element_positions`` raises, as it
+    does for the vectors, mostly without forming the K*M positions.  The
+    K - 1 steps across subarrays are compared on the sums
+    ``element_positions`` forms.  Within a subarray fl is monotone, and each
+    position is off its exact sum by at most half a spacing at max|c| +
+    max|t| (both grids are symmetric, so these are their last entries):
+    every step there is positive when the smallest offset gap exceeds two
+    such spacings.  Only when one of the two is not settled are all
+    positions formed and checked.
     """
-    element_positions(layout)
     k0 = _k0(layout)
     centers, offsets = subarray_centers(layout), centred_grid(layout.M, layout.d)
+    across = np.all(centers[:-1] + offsets[-1] < centers[1:] + offsets[0])
+    within = layout.M == 1 or np.diff(offsets).min() > 2.0 * np.spacing(centers[-1] + offsets[-1])
+    if not (across and within):
+        element_positions(layout)
 
     def grams(r, sin, cos):
         w00, w01, w11 = _gram(_PAIR_ENTRIES, _planar_pair(centers, sin, cos, k0))
@@ -700,14 +757,18 @@ def bundle_fisher(
 # Vector entries, summed over the points, that one batch builds at once: N_t
 # a point on the transmit side (K + M for pw's factors), N_r on the receive
 # side.  Measured with ``scripts/ab_inprocess.py`` on ``figures`` (2-core
-# Xeon VM; time against the per-point reduction it replaced, at 2**14, and
-# minor page faults per op, that code's 195-237):
-#   2**12  0.974, 1 fault   K = 12 leaves 2 points a batch: per-batch
-#                           overhead dominates
-#   2**13  0.861, 0 faults  every (P, N) complex128 temporary stays below
-#                           glibc's 128 KiB mmap threshold
-#   2**14  0.894, 1,413 faults: temporaries past the threshold are mapped
-#                           and unmapped again, batch after batch
+# Xeon VM, two runs each): time against the per-row ``np.vdot`` Grams at
+# 2**13 that ``np.vecdot`` replaced, as the ratio of minima and the median
+# per-round ratio (that code against itself: 0.993-1.005 and 0.997-1.007),
+# and minor page faults per op:
+#   2**12  1.001-1.015, 0.982-1.006, 0 faults   K = 12 leaves 2 points a
+#                           batch: per-batch overhead dominates
+#   2**13  0.913-0.918, 0.898-0.910, 0 faults   every (P, N) complex128
+#                           temporary stays below glibc's 128 KiB mmap
+#                           threshold
+#   2**14  0.913-0.920, 0.928-0.948, 526 faults   temporaries past the
+#                           threshold are mapped and unmapped again, batch
+#                           after batch
 BATCH_ELEMENTS = 2**13
 
 

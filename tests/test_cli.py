@@ -5,7 +5,9 @@ import gc
 import io
 import json
 import math
+import os
 import runpy
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -91,6 +93,22 @@ def test_crb_point_deterministic(capsys):
     _, first = run_cli(capsys, ["crb", *DESK])
     _, second = run_cli(capsys, ["crb", *DESK])
     assert first == second
+
+
+@pytest.mark.parametrize("model", ["sw", "hspw"])
+def test_crb_point_is_the_same_on_one_or_two_blas_threads(model):
+    # K*M = 12,288 transmit entries: past the 10,000 at which OpenBLAS
+    # splits a complex dot product across its threads
+    argv = [sys.executable, "-m", "nearfield_crb", "crb", "--model", model,
+            "--K", "48", "--M", "256", "--theta", "0.3", "--r", "10"]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outs = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        outs.add(subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout)
+    assert len(outs) == 1
+    assert parse_rows(outs.pop())[0]["error_code"] == ""
 
 
 def test_method_closed_is_riemann_alias(capsys):

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import D_HALF, LAM, seeded, std_wsms
 from nearfield_crb import (
+    ArrayLayout,
     CrbEngineError,
     DegenerateGeometry,
     DomainError,
@@ -24,8 +25,10 @@ from nearfield_crb import (
     d0_from_exponent,
     fisher_core,
     full_fisher_oracle,
+    element_positions,
     make_dua,
     make_ua,
+    make_wsms,
     received_gain_sq,
 )
 from nearfield_crb.fisher_core import (
@@ -266,6 +269,49 @@ def test_batched_bundles_and_amfs_are_bit_identical_to_single_points(model, shap
         assert gram_bits(batch, p) == gram_bits(grams(*fisher_core._targets([geom])))
     for n_r in (1, 4, 35):
         assert_columns_are_single_points(lay, geoms, n_r, model)
+
+
+@pytest.mark.parametrize("points, length", [(3, 35), (21, 384), (5, 1536), (64, 128), (1, 12_288)])
+def test_batched_gram_is_each_rows_vdot_bit_for_bit(points, length):
+    # one np.vecdot per entry against a Python np.vdot per row, word for
+    # word; a row past OpenBLAS's threading threshold is two halves, each
+    # summed on one thread, and one point's 1-D rows give the same words
+    rng = np.random.default_rng(points * length)
+    vectors = [rng.standard_normal((points, length)) + 1j * rng.standard_normal((points, length))
+               for _ in range(3)]
+
+    def vdot(a, b):
+        if length <= fisher_core._BLAS_SPLIT:
+            return np.vdot(a, b)
+        h = (length + 1) // 2
+        return np.vdot(a[:h], b[:h]) + np.vdot(a[h:], b[h:])
+
+    got = fisher_core._gram(fisher_core._TX_ENTRIES, vectors)
+    for p in range(points):
+        want = [word_bits(vdot(vectors[i][p], vectors[j][p])) for i, j in fisher_core._TX_ENTRIES]
+        assert gram_bits(got, p) == want
+        assert gram_bits(fisher_core._gram(fisher_core._TX_ENTRIES, [v[p] for v in vectors])) == want
+
+
+@pytest.mark.parametrize("count", [7, 8, 384])  # an odd count puts an element at n = 0
+@pytest.mark.parametrize("theta", [0.0, 0.3, -1.1, 1.5])
+@pytest.mark.parametrize("batch", [False, True])
+def test_spherical_trio_derivatives_are_the_complex_chains_bits(count, theta, batch):
+    # i value times the real rates against value * (1j * k0 * ...), word for
+    # word, signed zeros included, for one point's floats and (P, 1) columns
+    n, k0 = fisher_core.centred_grid(count, D_HALF), 2.0 * math.pi / LAM
+    geoms = [SceneGeometry(r=r, theta=theta, big_r=20.0) for r in (0.05, 1.5, 40.0)]
+    for targets in ([fisher_core._targets(geoms)] if batch
+                    else [fisher_core._targets([g]) for g in geoms]):
+        r, sin, cos = targets
+        value, d_theta, d_r = fisher_core._spherical_trio(n, r, sin, cos, k0)
+        inv = 1.0 / fisher_core._element_distances(n, r, sin)
+        assert np.array_equal(d_theta.view(np.uint64),
+                              (value * (1j * k0 * n * r * cos * inv)).view(np.uint64))
+        assert np.array_equal(d_r.view(np.uint64),
+                              (value * (1j * k0 * (n * sin - r) * inv)).view(np.uint64))
+        if count % 2:
+            assert not d_theta[..., count // 2].any()
 
 
 def assert_columns_are_single_points(lay, geoms, n_r, model):
@@ -658,3 +704,50 @@ def test_oracle_at_a_huge_range_raises_without_a_warning(monkeypatch):
         monkeypatch.setattr(fisher_core, "ORACLE_RESIDUAL_TOL", math.inf)
         with pytest.raises(SingularFisher, match="covariance overflows"):
             full_fisher_oracle(lay, geom, 1, model="hspw")
+
+
+def _order_verdict(check, layout):
+    try:
+        check(layout)
+    except ElementCoincidence:
+        return "element_coincidence"
+    return "ok"
+
+
+def _order_scenes():
+    """Layouts around the wide-gap edge, where c_k + t_m starts to lose t_m, and random ones."""
+    for i in (40, 52, 53, 54, 55, 56, 60, 100, 300, 600):
+        for k, m in ((1, 2), (2, 1), (2, 2), (3, 3), (48, 256)):
+            yield make_wsms(k, m, D_HALF, d0_from_exponent(i, LAM), LAM)
+    for i in range(516, 601, 21):  # uniform mirrors spaced near 1e152 m and beyond
+        yield make_ua(2, 2, D_HALF, d0_from_exponent(i, LAM), LAM)
+    for d0 in (0.0, -D_HALF):  # subarrays that touch or overlap, past the layout checks
+        yield ArrayLayout("wsms", 3, 4, D_HALF, d0, LAM)
+    rng = seeded("element order")
+    for _ in range(400):
+        k, m = rng.randint(1, 64), rng.choice((1, 2, 3, 16, 128, 256))
+        d = D_HALF * 2.0 ** rng.uniform(-20.0, 20.0)
+        d0 = d0_from_exponent(rng.randint(0, 600), LAM)
+        kind = rng.choice(("wsms", "ua", "dua"))
+        if kind == "dua":
+            yield make_dua(k, m, d, LAM)
+        elif kind == "ua" and k * m > 1:
+            yield make_ua(k, m, d, max(d, d0), LAM)
+        else:
+            yield make_wsms(k, m, d, max(d, d0), LAM)
+
+
+def test_planar_order_check_gives_the_positions_verdict(monkeypatch):
+    fallbacks = []
+    monkeypatch.setattr(fisher_core, "element_positions",
+                        lambda layout: fallbacks.append(layout) or element_positions(layout))
+    verdicts = []
+    for layout in _order_scenes():
+        verdict = _order_verdict(element_positions, layout)
+        assert _order_verdict(fisher_core._pw_tx_grams, layout) == verdict, layout
+        verdicts.append(verdict)
+    # both verdicts occur, and the full check ran on some layouts (ordered
+    # ones among them), not on most
+    assert {"ok", "element_coincidence"} <= set(verdicts)
+    assert 0 < len(fallbacks) < len(verdicts) // 2
+    assert any(_order_verdict(element_positions, layout) == "ok" for layout in fallbacks)
