@@ -30,15 +30,14 @@ The assembly takes one point or a grid: ``chi_factors``, the
 ``GeometryGrid`` wherever they accept a scene, and then return arrays
 with one entry per point, each bit for bit the point's own float (see
 ``pointwise``).  ``sums_fishers`` evaluates a grid in one call and hands
-back its blocks as five columns, with each point's own engine error.
+back its blocks as five columns, with each point's own engine error
+(``fisher_core.fisher_columns``, the bundle route's rule too).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .array_layouts import ArrayLayout, make_dua, make_ua, make_wsms, require_widely_spaced
 from .closed_form import (
@@ -50,12 +49,13 @@ from .closed_form import (
     sw_sums_riemann,
     sw_theta0_sums,
 )
-from .errors import CrbEngineError, DomainError, SingularFisher, outcome
+from .errors import DomainError, SingularFisher
 from .fisher_core import (
     CrbResult,
     NormalizedFisher,
     _unit_crb,
     bundle_crb,
+    fisher_columns,
     floored_fisher,
     received_gain_sq,
     require_receiver_size,
@@ -204,37 +204,16 @@ def sums_fisher(
 
 
 def sums_fishers(layout: ArrayLayout, grid: GeometryGrid, n_r: int, *, model: str) -> tuple:
-    """The closed-form ``sums_fisher`` at each point of a grid, as columns.
+    """The closed-form ``sums_fisher`` at each point of a grid, as (blocks, errors) columns.
 
-    Returns (blocks, errors).  blocks is a (5, P) array whose rows are q11,
-    q12, q22, q11_floor and q22_floor, one column per point; errors maps
-    each point that has an engine error to that error, and its column reads
-    NaN.  The grid runs as one evaluation, and ``errors.each_point``'s rule
-    holds: a point whose block comes out non-finite there (a point that
-    raises alone reads NaN), and every point of a grid that raises as a
-    whole, is evaluated again alone (``GeometryGrid.scene``), so each
-    column and error is the very one the point gets alone.
+    The grid runs as one evaluation, and ``fisher_core.fisher_columns``
+    takes each point that evaluation cannot vouch for alone.
     """
 
     def alone(geom):
         return sums_fisher(layout, geom, n_r, model=model, method="riemann")
 
-    blocks = np.full((5, grid.size), np.nan)
-    try:
-        with np.errstate(all="ignore"):
-            nf = alone(grid)
-        for row, col in zip(blocks, (nf.q11, nf.q12, nf.q22, nf.q11_floor, nf.q22_floor)):
-            row[:] = col  # a float where every point is the same scene
-    except (CrbEngineError, ArithmeticError):
-        pass
-    errors = {}
-    for p in np.flatnonzero(~np.isfinite(blocks).all(axis=0)).tolist():
-        nf = outcome(alone, grid.scene(p))
-        if isinstance(nf, CrbEngineError):
-            errors[p] = nf
-        else:
-            blocks[:, p] = nf.q11, nf.q12, nf.q22, nf.q11_floor, nf.q22_floor
-    return blocks, errors
+    return fisher_columns(grid, alone, alone)
 
 
 def sw_crb_closed(

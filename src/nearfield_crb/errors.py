@@ -2,9 +2,7 @@
 
 Every error the engine raises deliberately derives from CrbEngineError so
 callers (sweep drivers in particular) can catch one base class, tag the
-offending grid point, and keep going.  ``outcome`` keeps a point's error,
-``unwrap`` raises it, and ``each_point`` gives every point of a batch the
-value or error it gets alone.
+offending grid point, and keep going.  ``outcome`` keeps a point's error.
 """
 
 
@@ -66,30 +64,3 @@ def outcome(fn, *args, **kwargs):
     except CrbEngineError as exc:
         exc.__cause__ = exc.__context__ = None
         return exc.with_traceback(None)
-
-
-def each_point(batch, alone, points) -> list:
-    """Each point's value or kept error, from one batch call where it can.
-
-    batch(points) returns one result per point, or None for a point it
-    cannot vouch for.  A lone point, a None entry, and every point of a
-    batch that raises an engine or arithmetic error get
-    ``outcome(alone, point)``, so each point gets what it gets alone.
-    """
-    results = [None] * len(points)
-    if len(points) > 1:
-        try:
-            results = batch(points)
-        except (CrbEngineError, ArithmeticError):
-            pass
-    return [outcome(alone, p) if res is None else res for res, p in zip(results, points)]
-
-
-def unwrap(result):
-    """The value of an ``outcome``, or raise its error."""
-    if isinstance(result, CrbEngineError):
-        try:
-            raise result
-        finally:
-            del result  # the traceback holds this frame: no cycle through it
-    return result

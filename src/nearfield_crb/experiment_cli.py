@@ -22,9 +22,9 @@ oracle, else the closed-form sums).  A single point stays in plain floats,
 and ``_bounds`` turns its result into its bounds or error code.  A sweep
 keeps its points as columns from the grid to the CSV line: the scene checks
 run once on the r and theta arrays, the Fisher blocks of the direct or the
-closed-form route come back as five columns, and one array tail inverts
-them all.  Only a row that the tail cannot vouch for (an invalid scene, a
-kept error, an oracle result, a block at a round-off floor) takes
+closed-form route come back as five columns, and ``crb`` inverts them all
+as arrays.  Only a row that the columns cannot vouch for (an invalid scene,
+a kept error, an oracle result, a block at a round-off floor) takes
 ``_bounds``, so each row is the one its point gets alone.  ``write_rows``
 formats the cells a sweep's rows share once.
 
@@ -60,13 +60,13 @@ from .array_layouts import ArrayLayout, d0_from_exponent, make_dua, make_ua, mak
 from .crb_analytic import hspw_crb_asymptotes, sums_fisher, sums_fishers
 from .errors import CrbEngineError, DomainError, SingularFisher, error_code, outcome
 from .fisher_core import (
+    CrbResult,
     NormalizedFisher,
     OracleResult,
     bundle_fisher,
     bundle_fishers,
     crb,
     crb_theta_only,
-    det_floor,
     full_fisher_oracle,
     received_gain_sq,
     require_gain_and_noise,
@@ -224,7 +224,7 @@ def _bounds(cfg: ScenarioConfig, layout: ArrayLayout, beta_sq: float, sigma_n_sq
     Fisher block.  A kept error is never raised: it can be shared by many
     points, and each raise would lengthen its traceback.  This is the
     scalar path: a one-point call, an oracle row, and each row of a grid
-    that the array tail (``_grid_rows``) hands back take it.
+    that its columns cannot vouch for (``_grid_rows``) take it.
     """
     if isinstance(result, CrbEngineError):
         return None, None, error_code(result)
@@ -321,13 +321,13 @@ def _grid_rows(cfg: ScenarioConfig, points, layout: ArrayLayout, beta_sq: float,
     The scene checks run once on the r and theta arrays (``scenes_hold``).
     The valid points' Fisher blocks come back as five columns from one
     ``bundle_fishers`` or ``sums_fishers`` call on their grid, with no scene
-    object for a point that does not run alone.  One array tail then does
-    ``crb``'s floor and determinant tests, its two divisions and the two
-    roots; numpy's + - * / and sqrt round as Python's float operations do,
-    so each bound has the bits of the scalar path.  A point that fails a
-    test there, an invalid scene, a kept error and an oracle result each
-    take the scalar path (``_bounds``), so every row gets the very bounds
-    and code it gets alone.
+    object for a point that does not run alone.  ``crb`` then inverts the
+    columns as arrays, and the two roots follow; numpy's + - * / and sqrt
+    round as Python's float operations do, so each bound has the bits of
+    the scalar path.  A point that ``crb`` cannot invert, a bound below
+    zero, an invalid scene, a kept error and an oracle result each take the
+    scalar path (``_bounds``), so every row gets the very bounds and code
+    it gets alone.
     """
     r, theta = np.array(points, dtype=float).T
     valid = scenes_hold(r, theta, cfg.R, cfg.vartheta)
@@ -344,17 +344,15 @@ def _grid_rows(cfg: ScenarioConfig, points, layout: ArrayLayout, beta_sq: float,
         fishers = bundle_fishers if cfg.method == "direct" else sums_fishers
         blocks[:, valid], errors = fishers(layout, grid, cfg.N_r, model=cfg.model)
         alone.update((index[p], error) for p, error in errors.items())
-    q11, q12, q22, q11_floor, q22_floor = blocks
-    gain_ok = outcome(require_gain_and_noise, beta_sq, sigma_n_sq) is None
-    pref = sigma_n_sq / (2.0 * beta_sq) if gain_ok else math.nan
     with np.errstate(all="ignore"):
-        det = q11 * q22 - q12 * q12
-        crb_theta, crb_r = pref * q22 / det, pref * q11 / det
-        # each test as crb's, written so that NaN fails it; a NaN bound (a
-        # quotient of infinities) takes the scalar path, where its root is blank
-        fast = ((q11 > q11_floor) & (q22 > q22_floor)
-                & (det > det_floor(q11, q12, q22, q11_floor, q22_floor))
-                & (crb_theta >= 0.0) & (crb_r >= 0.0))
+        try:
+            bounds = crb(NormalizedFisher(*blocks), beta_sq, sigma_n_sq)
+        except DomainError:  # a gain or noise power that is not positive
+            bounds = CrbResult(*blocks[:2] * math.nan)
+        crb_theta, crb_r = bounds.crb_theta, bounds.crb_r
+        # a NaN bound (a block crb cannot invert, or a quotient of
+        # infinities) takes the scalar path, where its root is blank
+        fast = (crb_theta >= 0.0) & (crb_r >= 0.0)
         cells = [crb_theta.tolist(), crb_r.tolist(), np.sqrt(crb_theta).tolist(),
                  np.sqrt(crb_r).tolist(), [""] * len(points)]
     for p in np.flatnonzero(~fast).tolist():

@@ -40,14 +40,14 @@ the recorder builds its own composite vector (ROADMAP item 2).
 
 One point or a grid of them.  ``bundle_fisher`` takes one scene, and
 ``bundle_fishers`` a ``GeometryGrid``, returning ``(blocks, errors)`` as
-``crb_analytic.sums_fishers`` does: a (5, P) array of q11, q12, q22 and
-the two floors, one column per point, and each point's engine error.  The
-element positions, k0 and the offsets are taken once per call; the grid
-then runs in batches of at most ``BATCH_ELEMENTS`` vector entries, each
-vector one row of a (points, entries) array that keeps the single point's
-operations in their order.  A batch's Gram entry is one ``np.vecdot``,
-which sums each row as that row's ``np.vdot`` does (``np.einsum('pi,pi->p')``
-sums in another order and moves bits).  The
+``crb_analytic.sums_fishers`` does (``fisher_columns``): a (5, P) array of
+q11, q12, q22 and the two floors, one column per point, and each point's
+engine error.  The element positions, k0 and the offsets are taken once
+per call; the grid then runs in batches of at most ``BATCH_ELEMENTS``
+vector entries, each vector one row of a (points, entries) array that
+keeps the single point's operations in their order.  A batch's Gram entry
+is one ``np.vecdot``, which sums each row as that row's ``np.vdot`` does
+(``np.einsum('pi,pi->p')`` sums in another order and moves bits).  The
 reduction (``_inner_products``, then ``_schur``) is written once over real
 and imaginary parts, in ``pointwise`` style: one point's Python floats or
 a batch's arrays run the same lines, so each column is bit for bit the
@@ -63,9 +63,11 @@ point's block alone.  Three things would break that:
 
 Where a point raises alone its column reads NaN (``pointwise.checked``),
 and a batch that raises as a whole leaves all its columns NaN; each such
-column is evaluated again alone (``GeometryGrid.scene``), so every point
-gets its own block or error.  ``tx_bundles`` builds the bundles of a list
-of points the same way, in one batch where it can (``errors.each_point``).
+column is evaluated again alone (``fisher_columns``, the one rule both
+routes share), so every point gets its own block or error.  ``crb`` is
+written in the same style: one block's floats raise where a grid's
+columns get NaN bounds.  ``tx_bundles`` builds the bundles of a list of
+points in one batch, which raises if any point does.
 """
 
 from __future__ import annotations
@@ -88,9 +90,7 @@ from .errors import (
     ElementCoincidence,
     IllConditioned,
     SingularFisher,
-    each_point,
     outcome,
-    unwrap,
 )
 from .geometry import GeometryGrid, SceneGeometry, arrival_triangle
 from .pointwise import checked, cos, fails, hypot, power, sin, sqrt
@@ -195,7 +195,7 @@ def _element_distances(n: np.ndarray, r, sin) -> np.ndarray:
 
     r and sin are floats or (P, 1) columns.  Raises the error of a single
     point: an overflow before a target on an element.  A batch raises it if
-    any row does, and each of its points is then evaluated alone.
+    any row does (the bundle route then evaluates each point alone).
     """
     # when r * r and 2 n r sin both overflow, their difference is NaN
     with np.errstate(over="ignore", invalid="ignore"):
@@ -314,33 +314,29 @@ def tx_bundles(layout: ArrayLayout, geoms: list, model: str) -> list:
 
     The layout's element positions, k0 and the hybrid model's in-subarray
     offsets are computed once; each element's arithmetic is the single
-    point's, so row p is bit for bit the bundle at geoms[p] alone.  Entry p
-    is that bundle, or the engine error the point raises: a batch raises
-    like a single point, and then each point is built alone
-    (``errors.each_point``).
+    point's, so entry p is bit for bit the bundle at geoms[p] alone.  The
+    batch raises the error a single point raises, if any of its points
+    does; an unknown model is a DomainError.
     """
     if model not in _TX_VECTORS:
-        return [_unknown_model(model)] * len(geoms)
-
-    def build(points):
-        return _bundles(*_TX_VECTORS[model](layout)(*_targets(points)))
-
-    return each_point(build, lambda g: build([g])[0], geoms)
+        raise _unknown_model(model)
+    build = _TX_VECTORS[model](layout)
+    return _bundles(*build(*_targets(geoms))) if geoms else []
 
 
 def sw_tx_bundle(layout: ArrayLayout, geom: SceneGeometry) -> SteeringBundle:
     """Spherical-wave transmit steering bundle over all K*M elements."""
-    return unwrap(tx_bundles(layout, [geom], "sw")[0])
+    return tx_bundles(layout, [geom], "sw")[0]
 
 
 def pw_tx_bundle(layout: ArrayLayout, geom: SceneGeometry) -> SteeringBundle:
     """Planar-wave transmit steering bundle (no range dependence)."""
-    return unwrap(tx_bundles(layout, [geom], "pw")[0])
+    return tx_bundles(layout, [geom], "pw")[0]
 
 
 def hspw_tx_bundle(layout: ArrayLayout, geom: SceneGeometry) -> SteeringBundle:
     """Hybrid bundle: spherical across subarray centres, planar within."""
-    return unwrap(tx_bundles(layout, [geom], "hspw")[0])
+    return tx_bundles(layout, [geom], "hspw")[0]
 
 
 def require_receiver_size(n_r: int) -> None:
@@ -689,21 +685,25 @@ def require_gain_and_noise(beta_sq: float, sigma_n_sq: float) -> None:
 
 
 def crb(nf: NormalizedFisher, beta_sq: float, sigma_n_sq: float) -> CrbResult:
-    """Angle and range bounds from the normalized Fisher block.
+    """Angle and range bounds from the normalized Fisher block, of one point or a grid.
 
-    The comparisons are written so that a NaN entry fails them: a block
-    that overflowed is singular, not a NaN bound.
+    A block whose q11 or q22 is at its round-off floor, or whose det is at
+    ``det_floor``, is singular.  The comparisons are written so that a NaN
+    entry fails them: a block that overflowed is singular, not a NaN bound.
+    A point's floats raise SingularFisher for the first test that fails, in
+    that order; a grid's arrays get NaN bounds where any fails
+    (``pointwise.checked``).
     """
     require_gain_and_noise(beta_sq, sigma_n_sq)
-    if not nf.q11 > nf.q11_floor:
-        raise SingularFisher(f"theta information is at the round-off floor (q11 = {nf.q11!r})")
-    if not nf.q22 > nf.q22_floor:
-        raise SingularFisher(f"range information is at the round-off floor (q22 = {nf.q22!r})")
     det = nf.det
-    if not det > det_floor(nf.q11, nf.q12, nf.q22, nf.q11_floor, nf.q22_floor):
-        raise SingularFisher(f"(theta, r) Fisher block is singular (det = {det!r})")
+    theta_ok, range_ok = nf.q11 > nf.q11_floor, nf.q22 > nf.q22_floor
+    det_ok = det > det_floor(nf.q11, nf.q12, nf.q22, nf.q11_floor, nf.q22_floor)
+    invertible = checked(det, fails(theta_ok & range_ok & det_ok), lambda: SingularFisher(
+        f"theta information is at the round-off floor (q11 = {nf.q11!r})" if not theta_ok
+        else f"range information is at the round-off floor (q22 = {nf.q22!r})" if not range_ok
+        else f"(theta, r) Fisher block is singular (det = {det!r})"))
     pref = sigma_n_sq / (2.0 * beta_sq)
-    return CrbResult(crb_theta=pref * nf.q22 / det, crb_r=pref * nf.q11 / det)
+    return CrbResult(crb_theta=pref * nf.q22 / invertible, crb_r=pref * nf.q11 / invertible)
 
 
 def _unit_crb(nf: NormalizedFisher, layout: ArrayLayout, n_r: int) -> CrbResult:
@@ -772,37 +772,53 @@ def bundle_fisher(
 BATCH_ELEMENTS = 2**13
 
 
-def bundle_fishers(layout: ArrayLayout, grid: GeometryGrid, n_r: int, *, model: str) -> tuple:
-    """``bundle_fisher`` at each point of a grid, as columns.
+def fisher_columns(grid: GeometryGrid, whole, alone) -> tuple:
+    """(blocks, errors) at each point of a grid: whole(grid)'s columns, with alone's fallback.
 
-    Returns (blocks, errors) as ``crb_analytic.sums_fishers`` does: blocks
-    is a (5, P) array of q11, q12, q22, q11_floor and q22_floor, one column
-    per point, and errors maps each point that has an engine error to it
-    (its column reads NaN).  The transmit and receive Grams are gathered
-    into columns batch by batch (``_gram_columns``), and one reduction
-    turns them into the blocks.  A column that comes out non-finite, and
-    every column when the layout's set-up raises, is evaluated again alone
-    (``GeometryGrid.scene``), so each is what its point gets alone.
+    whole(grid) returns a ``NormalizedFisher`` whose fields hold one entry
+    per point (a float where every point shares it); alone(scene) is one
+    point's block.  blocks is a (5, P) array of q11, q12, q22, q11_floor and
+    q22_floor, one column per point, and errors maps each point that has an
+    engine error to it, kept bare (``errors.outcome``); its column reads
+    NaN.  A column that comes out non-finite, and every column when whole
+    raises an engine or arithmetic error, is taken from alone at the
+    point's scene (``GeometryGrid.scene``), so each column and error is the
+    very one the point gets alone.
     """
+    blocks = np.full((5, grid.size), np.nan)
     try:
-        (tx, row), rx = _tx_grams(layout, model), _rx_grams(layout, n_r)
-    except CrbEngineError:
-        blocks = np.full((5, grid.size), np.nan)
-    else:
-        scenes = _with_arrays(grid)
-        t = _gram_columns(lambda at: tx(*_targets_at(scenes, at)), grid.size, row)
-        g = _gram_columns(lambda at: rx(_scenes_at(scenes, at)), grid.size, n_r)
         with np.errstate(all="ignore"):
-            nf = _schur(*_inner_products(t, g))
-        blocks = np.array([nf.q11, nf.q12, nf.q22, nf.q11_floor, nf.q22_floor])
+            nf = whole(grid)
+        for row, col in zip(blocks, (nf.q11, nf.q12, nf.q22, nf.q11_floor, nf.q22_floor)):
+            row[:] = col
+    except (CrbEngineError, ArithmeticError):
+        pass
     errors = {}
     for p in np.flatnonzero(~np.isfinite(blocks).all(axis=0)).tolist():
-        nf = outcome(bundle_fisher, layout, grid.scene(p), n_r, model=model)
+        nf = outcome(alone, grid.scene(p))
         if isinstance(nf, CrbEngineError):
             errors[p] = nf
+            blocks[:, p] = np.nan
         else:
             blocks[:, p] = nf.q11, nf.q12, nf.q22, nf.q11_floor, nf.q22_floor
     return blocks, errors
+
+
+def bundle_fishers(layout: ArrayLayout, grid: GeometryGrid, n_r: int, *, model: str) -> tuple:
+    """``bundle_fisher`` at each point of a grid, as (blocks, errors) columns (``fisher_columns``).
+
+    The transmit and receive Grams are gathered into columns batch by batch
+    (``_gram_columns``), and one reduction turns them into the blocks.
+    """
+
+    def whole(grid):
+        (tx, row), rx = _tx_grams(layout, model), _rx_grams(layout, n_r)
+        scenes = _with_arrays(grid)
+        t = _gram_columns(lambda at: tx(*_targets_at(scenes, at)), grid.size, row)
+        g = _gram_columns(lambda at: rx(_scenes_at(scenes, at)), grid.size, n_r)
+        return _schur(*_inner_products(t, g))
+
+    return fisher_columns(grid, whole, lambda geom: bundle_fisher(layout, geom, n_r, model=model))
 
 
 def _gram_columns(gram, size: int, row: int) -> tuple:
@@ -868,7 +884,7 @@ def full_fisher_oracle(
 
     def hvec(theta: float, r: float) -> np.ndarray:
         g = replace(geom, theta=theta, r=r)
-        tx = np.conj(unwrap(tx_bundles(layout, [g], model)[0]).value)
+        tx = np.conj(tx_bundles(layout, [g], model)[0].value)
         rx = rx_bundle(layout, n_r, g).value
         # the unitary DFT matrix is symmetric, so its transpose maps tx as fft does
         mapped = tx if training == "implicit" else np.fft.fft(tx) / math.sqrt(n_t)

@@ -34,7 +34,7 @@ from .crb_analytic import (
     sw_crb_theta0,
     sw_fisher_from_sums,
 )
-from .errors import SingularityNearPi2, unwrap
+from .errors import SingularityNearPi2
 from .fisher_core import (
     bundle_crb,
     bundle_fisher,
@@ -194,15 +194,10 @@ def check_uniform_mirrors() -> CheckOutcome:
 TX_MODELS = ("sw", "hspw", "pw")
 
 
-def _tx_batch(lay, geoms, model) -> list:
-    """The transmit bundles at geoms from one batched call, the sweeps' route."""
-    return [unwrap(b) for b in tx_bundles(lay, geoms, model)]
-
-
 def check_steering_norms() -> CheckOutcome:
     lay = _std_layout(3, 8, 4)
     geoms = [SceneGeometry(r=5.0, theta=theta, big_r=20.0) for theta in (-0.9, 0.0, 0.5)]
-    bundles = [b for model in TX_MODELS for b in _tx_batch(lay, geoms, model)]
+    bundles = [b for model in TX_MODELS for b in tx_bundles(lay, geoms, model)]
     bundles += [rx_bundle(lay, 6, g) for g in geoms]
     worst = max(abs(float(np.linalg.norm(b.value)) - 1.0) for b in bundles)
     return CheckOutcome("steering_unit_norm", worst <= 1e-12, worst, 1e-12)
@@ -226,7 +221,7 @@ def check_steering_derivatives() -> CheckOutcome:
             replace(g, r=g.r + h * g.r),
             replace(g, r=g.r - h * g.r),
         ]
-    sets = [_tx_batch(lay, geoms, model) for model in TX_MODELS]
+    sets = [tx_bundles(lay, geoms, model) for model in TX_MODELS]
     sets.append([rx_bundle(lay, 6, g) for g in geoms])
     worst = 0.0
     for bundles in sets:
@@ -248,7 +243,7 @@ def check_planar_limit() -> CheckOutcome:
     geoms = [SceneGeometry(r=r, theta=0.4, big_r=10 * r) for r in rs]
     k0 = 2.0 * math.pi / lay.lam
     devs = []
-    for r, sw, pw in zip(rs, _tx_batch(lay, geoms, "sw"), _tx_batch(lay, geoms, "pw")):
+    for r, sw, pw in zip(rs, tx_bundles(lay, geoms, "sw"), tx_bundles(lay, geoms, "pw")):
         align = np.exp(1j * k0 * r)
         devs.append(float(np.max(np.abs(np.angle(sw.value * np.conj(pw.value) * align)))))
     ok = devs[0] > devs[1] > devs[2]

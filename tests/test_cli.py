@@ -2,6 +2,7 @@
 
 import csv
 import gc
+import importlib.util
 import io
 import json
 import math
@@ -19,6 +20,7 @@ import numpy as np
 import pytest
 
 from nearfield_crb import (
+    NormalizedFisher,
     SceneGeometry,
     bundle_crb,
     bundle_fisher,
@@ -32,6 +34,8 @@ from nearfield_crb import (
     sums_fisher,
 )
 from nearfield_crb import experiment_cli, fisher_core, validation
+from nearfield_crb.fisher_core import fisher_columns
+from nearfield_crb.geometry import GeometryGrid
 from nearfield_crb.errors import (
     CrbEngineError,
     DomainError,
@@ -39,7 +43,6 @@ from nearfield_crb.errors import (
     InvalidLayout,
     SingularFisher,
     SingularityNearPi2,
-    each_point,
     error_code,
 )
 from nearfield_crb.experiment_cli import (
@@ -1019,60 +1022,87 @@ def test_a_raised_point_error_leaves_no_reference_cycles(call, code):
     assert cyclic_garbage(raised_code, call, ua, geom) == (code, 0)
 
 
-def each_point_calls(batch_results, points):
-    """each_point's results, with the points the batch and ``alone`` saw.
+def fisher_columns_calls(whole_q11, rs):
+    """fisher_columns' (blocks, errors) on a grid at ranges rs, with the grids and ranges it ran.
 
-    batch_results is the batch's list, or the exception type it raises.
-    ``alone`` fails a negative point with a chained DomainError.
+    whole_q11 is the q11 column ``whole`` returns (its other entries are
+    one float each), or the exception type it raises.  ``alone`` fails the
+    point at r = 2 with a chained DomainError and gives any other point
+    q11 = -r.
     """
-    seen = {"batch": [], "alone": []}
+    seen = {"whole": [], "alone": []}
 
-    def batch(pts):
-        seen["batch"].append(list(pts))
-        if isinstance(batch_results, type):
-            raise batch_results("the whole batch")
-        return batch_results
+    def whole(grid):
+        seen["whole"].append(grid.r.tolist())
+        if isinstance(whole_q11, type):
+            raise whole_q11("the whole grid")
+        return NormalizedFisher(np.array(whole_q11), 0.5, 2.0, 0.25, 0.125)
 
-    def alone(p):
-        seen["alone"].append(p)
-        if p < 0:
+    def alone(geom):
+        seen["alone"].append(geom.r)
+        if geom.r == 2.0:
             try:
-                math.sqrt(p)
+                math.sqrt(-geom.r)
             except ValueError as exc:
-                raise DomainError(f"negative point {p}") from exc
-        return f"alone {p}"
+                raise DomainError("the point at r = 2") from exc
+        return NormalizedFisher(-geom.r, 0.0, 1.0)
 
-    return each_point(batch, alone, points), seen
+    grid = GeometryGrid(np.array(rs, dtype=float), 0.3, 20.0, 0.0, len(rs))
+    return fisher_columns(grid, whole, alone), seen
+
+
+def assert_kept_bare(error):
+    assert type(error) is DomainError and str(error) == "the point at r = 2"
+    assert error.__traceback__ is error.__context__ is error.__cause__ is None
 
 
 @pytest.mark.parametrize("kind", [InvalidLayout, OverflowError, ZeroDivisionError])
-def test_a_raising_batch_sends_every_point_alone(kind):
-    (out, seen), garbage = cyclic_garbage(each_point_calls, kind, [1, -2, 3])
-    assert seen == {"batch": [[1, -2, 3]], "alone": [1, -2, 3]}
-    assert out[0] == "alone 1" and out[2] == "alone 3"
-    assert type(out[1]) is DomainError and str(out[1]) == "negative point -2"
-    assert out[1].__traceback__ is out[1].__context__ is out[1].__cause__ is None
+def test_a_raising_whole_sends_every_point_alone(kind):
+    ((blocks, errors), seen), garbage = cyclic_garbage(fisher_columns_calls, kind, [1.0, 2.0, 3.0])
+    assert seen == {"whole": [[1.0, 2.0, 3.0]], "alone": [1.0, 2.0, 3.0]}
+    assert blocks[:, 0].tolist() == [-1.0, 0.0, 1.0, 0.0, 0.0]
+    assert blocks[:, 2].tolist() == [-3.0, 0.0, 1.0, 0.0, 0.0]
+    assert np.isnan(blocks[:, 1]).all() and list(errors) == [1]
+    assert_kept_bare(errors[1])
     assert garbage == 0
 
 
-def test_a_none_entry_sends_only_its_point_alone():
-    out, seen = each_point_calls(["batch 1", None, "batch 3"], [1, -2, 3])
-    assert seen == {"batch": [[1, -2, 3]], "alone": [-2]}
-    assert out[0] == "batch 1" and out[2] == "batch 3"
-    assert type(out[1]) is DomainError
-    assert out[1].__traceback__ is out[1].__context__ is out[1].__cause__ is None
+def test_a_nan_column_sends_only_its_point_alone():
+    (blocks, errors), seen = fisher_columns_calls([4.0, math.nan, 6.0], [1.0, 2.0, 3.0])
+    assert seen == {"whole": [[1.0, 2.0, 3.0]], "alone": [2.0]}
+    assert blocks[:, 0].tolist() == [4.0, 0.5, 2.0, 0.25, 0.125]
+    assert blocks[:, 2].tolist() == [6.0, 0.5, 2.0, 0.25, 0.125]
+    assert np.isnan(blocks[:, 1]).all() and list(errors) == [1]
+    assert_kept_bare(errors[1])
+    # an infinite column is not vouched for either, and alone may pass it
+    (blocks, errors), seen = fisher_columns_calls([4.0, 5.0, -math.inf], [1.0, 2.0, 3.0])
+    assert seen["alone"] == [3.0] and errors == {}
+    assert blocks[:, 2].tolist() == [-3.0, 0.0, 1.0, 0.0, 0.0]
 
 
-def test_a_lone_point_never_calls_the_batch():
-    for points, want in (([5], ["alone 5"]), ([], [])):
-        out, seen = each_point_calls(TypeError, points)
-        assert out == want and seen == {"batch": [], "alone": points}
+def test_an_empty_grid_gives_no_columns():
+    (blocks, errors), seen = fisher_columns_calls([], [])
+    assert blocks.shape == (5, 0) and errors == {}
+    assert seen["alone"] == []
 
 
-def test_a_batch_that_fails_otherwise_raises():
+def test_a_whole_that_fails_otherwise_raises():
     # only engine and arithmetic errors are a point's own: a TypeError is a bug
     with pytest.raises(TypeError):
-        each_point_calls(TypeError, [1, 2])
+        fisher_columns_calls(TypeError, [1.0, 2.0])
+
+
+def test_every_traced_name_is_a_module_level_function():
+    # the traced benchmark run wraps owner.__dict__[name] for each name in
+    # bench/tracing.py's LAYERS, so a name that is gone or is no longer
+    # defined on its owner breaks the traced run
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    targets = tracing._targets()
+    assert len(targets) > len(tracing.LAYERS)
+    assert [(layer, attr) for layer, owner, attr in targets if attr not in vars(owner)] == []
 
 
 def test_no_figure_transmit_batch_falls_back_point_by_point(monkeypatch):

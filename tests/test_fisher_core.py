@@ -405,30 +405,25 @@ def test_reduction_gives_floats_and_arrays_the_same_bits():
     assert any(sq != h * h for sq, h in zip(squares, [h for h in hyp.tolist() if h < 1e150]))
 
 
-def test_batched_bundles_give_each_point_its_own_error():
+def test_a_transmit_batch_raises_what_a_point_raises():
     # K=1, M=2: at theta just below pi/2 the sine rounds to 1, so the
     # target at r = d/2 sits on an element; r = 1e155 squares to inf
     lay = std_wsms(1, 2, 0)
     theta = math.nextafter(math.pi / 2.0, 0.0)
-    rs = (lay.d / 4.0, lay.d / 2.0, 1e155, lay.d, 1e3)
-    geoms = [SceneGeometry(r=r, theta=theta, big_r=20.0) for r in rs]
-    for model, codes in (
-        ("sw", (None, ElementCoincidence, SingularFisher, None, None)),
-        ("hspw", (None, None, SingularFisher, None, None)),
-        ("pw", (None,) * 5),
-    ):
+    on_element, far = (SceneGeometry(r=r, theta=theta, big_r=20.0) for r in (lay.d / 2.0, 1e155))
+    fine = SceneGeometry(r=1e3, theta=theta, big_r=20.0)
+    for geoms, error in (([fine, on_element], ElementCoincidence), ([on_element, far, fine], SingularFisher)):
+        with pytest.raises(error):
+            sw_tx_bundle(lay, geoms[1])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            batch = fisher_core.tx_bundles(lay, geoms, model)
-        for geom, tx, code in zip(geoms, batch, codes):
-            if code is not None:
-                assert type(tx) is code
-                with pytest.raises(code):
-                    TX_BUNDLES[model](lay, geom)
-            else:
-                want = TX_BUNDLES[model](lay, geom)
-                for g, w in zip(bits(tx), bits(want)):
-                    assert np.array_equal(g, w)
+            with pytest.raises(error):
+                fisher_core.tx_bundles(lay, geoms, "sw")
+    geoms = [SceneGeometry(r=r, theta=0.2, big_r=20.0) for r in (1.0, 2.0)]
+    with pytest.raises(InvalidLayout):
+        fisher_core.tx_bundles(make_dua(2, 3, 0.0015, 0.003), geoms, "hspw")
+    with pytest.raises(DomainError):
+        fisher_core.tx_bundles(std_wsms(2, 3, 1), geoms, "nope")
 
 
 @pytest.mark.parametrize("model", ["sw", "hspw", "pw"])
@@ -438,14 +433,6 @@ def test_empty_batch_gives_no_bundles(model):
     empty = GeometryGrid(np.empty(0), np.empty(0), 20.0, 0.0, 0)
     blocks, errors = fisher_core.bundle_fishers(lay, empty, 4, model=model)
     assert blocks.shape == (5, 0) and errors == {}
-
-
-def test_batched_bundles_give_every_point_a_layout_error():
-    geoms = [SceneGeometry(r=r, theta=0.2, big_r=20.0) for r in (1.0, 2.0)]
-    dense = make_dua(2, 3, 0.0015, 0.003)
-    assert [type(tx) for tx in fisher_core.tx_bundles(dense, geoms, "hspw")] == [InvalidLayout] * 2
-    lay = std_wsms(2, 3, 1)
-    assert [type(tx) for tx in fisher_core.tx_bundles(lay, geoms, "nope")] == [DomainError] * 2
 
 
 @pytest.mark.parametrize("model", ["sw", "hspw", "pw"])
@@ -524,26 +511,56 @@ def test_crb_matches_explicit_two_by_two_inverse():
         assert math.isclose(got.crb_r, inv[1, 1], rel_tol=1e-10)
 
 
+def assert_crb_columns_match_points(blocks):
+    """crb on the blocks stacked as (5, P) columns: each point's bounds, word for word, or NaN where it raises.
+
+    The gain and noise make sigma^2 / (2 beta^2) inexact, so the order of
+    the products shows in the bits.
+    """
+    columns = NormalizedFisher(*np.array([[getattr(nf, f) for f in NF_FIELDS] for nf in blocks]).T)
+    got = crb(columns, 3.0, 0.7)
+    for p, nf in enumerate(blocks):
+        want = outcome(crb, nf, 3.0, 0.7)
+        cols = (got.crb_theta[p], got.crb_r[p])
+        if isinstance(want, SingularFisher):
+            assert np.isnan(cols).all(), p
+        else:
+            assert word_bits(cols) == word_bits((want.crb_theta, want.crb_r)), p
+
+
 def test_crb_validation_and_floors():
     nf = NormalizedFisher(q11=5.0, q12=0.1, q22=2.0)
     with pytest.raises(DomainError):
         crb(nf, 0.0, 1.0)
     with pytest.raises(DomainError):
         crb(nf, 1.0, -1.0)
-    with pytest.raises(SingularFisher):
-        crb(NormalizedFisher(q11=5.0, q12=0.0, q22=0.0), 1.0, 1.0)
-    with pytest.raises(SingularFisher):
-        crb(NormalizedFisher(q11=5.0, q12=3.2, q22=2.048), 1.0, 1.0)
+    singular = NormalizedFisher(q11=5.0, q12=0.0, q22=0.0)
+    with pytest.raises(SingularFisher, match="range information"):
+        crb(singular, 1.0, 1.0)
+    coupled = NormalizedFisher(q11=5.0, q12=3.2, q22=2.048)
+    with pytest.raises(SingularFisher, match="block is singular"):
+        crb(coupled, 1.0, 1.0)
 
     # information at or below the stated round-off floor must not be
     # inverted into a bound, however large the determinant looks
     noisy = NormalizedFisher(q11=5.0, q12=0.0, q22=1e-9, q22_floor=2e-9)
-    with pytest.raises(SingularFisher):
+    with pytest.raises(SingularFisher, match="range information"):
         crb(noisy, 1.0, 1.0)
     ok = NormalizedFisher(q11=5.0, q12=0.0, q22=1e-9, q22_floor=5e-10)
     assert crb(ok, 1.0, 1.0).crb_r > 0.0
-    with pytest.raises(SingularFisher):
-        crb(NormalizedFisher(q11=1e-9, q12=0.0, q22=5.0, q11_floor=2e-9), 1.0, 1.0)
+    # the tests run in the order q11, q22, det: this block and ``noisy`` fail
+    # the det test too, and each raises for its diagonal entry
+    floored = NormalizedFisher(q11=1e-9, q12=0.0, q22=5.0, q11_floor=2e-9)
+    with pytest.raises(SingularFisher, match="theta information"):
+        crb(floored, 1.0, 1.0)
+    # a negative-definite block passes the det test, but not q11's
+    negative = NormalizedFisher(q11=-5.0, q12=0.1, q22=-2.0)
+    with pytest.raises(SingularFisher, match="theta information"):
+        crb(negative, 1.0, 1.0)
+    # a grid's columns get each point's bounds, and NaN where it raises
+    assert_crb_columns_match_points([nf, singular, coupled, noisy, ok, floored, negative])
+    with pytest.raises(DomainError):
+        crb(NormalizedFisher(*np.ones((5, 2))), 0.0, 1.0)
 
 
 def test_determinant_floor_rests_on_the_diagonal_floors():
@@ -551,14 +568,20 @@ def test_determinant_floor_rests_on_the_diagonal_floors():
     # the entries move det by up to about 9e-6
     q12 = math.sqrt(4.0 - 5e-6)
     assert det_floor(4.0, q12, 1.0, 1e-6, 1e-6) > NormalizedFisher(4.0, q12, 1.0).det
-    with pytest.raises(SingularFisher):
-        crb(NormalizedFisher(q11=4.0, q12=q12, q22=1.0, q11_floor=1e-6, q22_floor=1e-6), 1.0, 1.0)
+    floored = NormalizedFisher(q11=4.0, q12=q12, q22=1.0, q11_floor=1e-6, q22_floor=1e-6)
+    with pytest.raises(SingularFisher, match="block is singular"):
+        crb(floored, 1.0, 1.0)
     # zero floors leave a plain sign check
-    assert crb(NormalizedFisher(q11=4.0, q12=q12, q22=1.0), 1.0, 1.0).crb_r > 0.0
+    plain = NormalizedFisher(q11=4.0, q12=q12, q22=1.0)
+    assert crb(plain, 1.0, 1.0).crb_r > 0.0
     # the rule reads alike on a grid's arrays
     q = np.array([4.0, 4.0])
     assert det_floor(q, np.array([q12, 0.0]), q / 4.0, 1e-6, 1e-6).tolist() == [
         det_floor(4.0, q12, 1.0, 1e-6, 1e-6), det_floor(4.0, 0.0, 1.0, 1e-6, 1e-6)]
+    decoupled = NormalizedFisher(q11=4.0, q12=0.0, q22=1.0, q11_floor=1e-6, q22_floor=1e-6)
+    q11, q12, q22 = np.random.default_rng(7).uniform(0.5, 2.0, (3, 20))
+    drawn = [NormalizedFisher(*entries, 1e-6, 1e-6) for entries in zip(q11, q12, q22)]
+    assert_crb_columns_match_points([floored, plain, decoupled, *drawn])
 
 
 def test_crb_theta_only_scalar_inverse():
