@@ -29,9 +29,9 @@ The assembly takes one point or a grid: ``chi_factors``, the
 ``*_fisher_from_sums`` assemblies and ``sums_fisher`` accept a
 ``GeometryGrid`` wherever they accept a scene, and then return arrays
 with one entry per point, each bit for bit the point's own float (see
-``pointwise``).  ``sums_fishers`` evaluates a grid in one call and hands
-back its blocks as five columns, with each point's own engine error
-(``fisher_core.fisher_columns``, the bundle route's rule too).
+``pointwise``).  ``fisher_core.fisher_columns`` turns ``sums_fisher`` on a
+grid into five columns with each point's own engine error, by the rule the
+bundle route's grids follow too.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from .fisher_core import (
     NormalizedFisher,
     _unit_crb,
     bundle_crb,
-    fisher_columns,
     floored_fisher,
     received_gain_sq,
     require_receiver_size,
@@ -188,9 +187,17 @@ _SUMS = {
 
 
 def sums_fisher(
-    layout: ArrayLayout, geom: SceneGeometry, n_r: int, *, model: str, method: str
+    layout: ArrayLayout,
+    geom: SceneGeometry | GeometryGrid,
+    n_r: int,
+    *,
+    model: str,
+    method: str,
 ) -> NormalizedFisher:
-    """Normalized Fisher block from the sums ``method`` gives for ``model``."""
+    """Normalized Fisher block from the sums ``method`` gives for ``model``.
+
+    geom is one scene or a ``GeometryGrid`` (see the module docstring).
+    """
     if (model, method) not in _SUMS:
         raise DomainError(
             f"no sum formulas for model {model!r} with method {method!r} "
@@ -201,19 +208,6 @@ def sums_fisher(
     sums = _SUMS[model, method](layout, geom)
     assemble = sw_fisher_from_sums if model == "sw" else hspw_fisher_from_sums
     return assemble(sums, layout, geom, n_r)
-
-
-def sums_fishers(layout: ArrayLayout, grid: GeometryGrid, n_r: int, *, model: str) -> tuple:
-    """The closed-form ``sums_fisher`` at each point of a grid, as (blocks, errors) columns.
-
-    The grid runs as one evaluation, and ``fisher_core.fisher_columns``
-    takes each point that evaluation cannot vouch for alone.
-    """
-
-    def alone(geom):
-        return sums_fisher(layout, geom, n_r, model=model, method="riemann")
-
-    return fisher_columns(grid, alone, alone)
 
 
 def sw_crb_closed(

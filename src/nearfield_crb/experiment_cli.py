@@ -17,16 +17,17 @@ to split across its threads is summed in fixed parts
 (``fisher_core._dots``).
 
 Each row takes one path: the method picks one route for all of a call's
-scenes (``direct`` the steering bundles, ``oracle`` the finite-difference
-oracle, else the closed-form sums).  A single point stays in plain floats,
-and ``_bounds`` turns its result into its bounds or error code.  A sweep
-keeps its points as columns from the grid to the CSV line: the scene checks
-run once on the r and theta arrays, the Fisher blocks of the direct or the
-closed-form route come back as five columns, and ``crb`` inverts them all
-as arrays.  Only a row that the columns cannot vouch for (an invalid scene,
-a kept error, an oracle result, a block at a round-off floor) takes
-``_bounds``, so each row is the one its point gets alone.  ``write_rows``
-formats the cells a sweep's rows share once.
+scenes from one table (``_ROUTES``: ``direct`` the steering bundles,
+``riemann`` the closed-form sums, ``oracle`` the finite-difference oracle),
+and a method outside it is a ConfigError.  A single point, and every point
+of an oracle call, stays in plain floats, and ``_bounds`` turns its result
+into its bounds or error code.  A sweep on the other routes keeps its
+points as columns from the grid to the CSV line: the scene checks run once
+on the r and theta arrays, the route's Fisher blocks come back as five
+columns, and ``crb`` inverts them all as arrays.  Only a row that the
+columns cannot vouch for (an invalid scene, a kept error, a block at a
+round-off floor) takes ``_bounds``, so each row is the one its point gets
+alone.  ``write_rows`` formats the cells a sweep's rows share once.
 
 Scenario parameters come from defaults, then an optional --config file of
 flat ``key = value`` lines using the ScenarioConfig field names, then CLI
@@ -52,21 +53,22 @@ import operator
 import re
 import sys
 from dataclasses import dataclass, fields, replace
+from functools import partial
 
 import numpy as np
 
 from . import validation
 from .array_layouts import ArrayLayout, d0_from_exponent, make_dua, make_ua, make_wsms
-from .crb_analytic import hspw_crb_asymptotes, sums_fisher, sums_fishers
+from .crb_analytic import hspw_crb_asymptotes, sums_fisher
 from .errors import CrbEngineError, DomainError, SingularFisher, error_code, outcome
 from .fisher_core import (
     CrbResult,
     NormalizedFisher,
     OracleResult,
     bundle_fisher,
-    bundle_fishers,
     crb,
     crb_theta_only,
+    fisher_columns,
     full_fisher_oracle,
     received_gain_sq,
     require_gain_and_noise,
@@ -95,7 +97,15 @@ CSV_COLUMNS = [
 
 MODELS = ("sw", "hspw", "pw")
 LAYOUTS = ("wsms", "ua", "dua")
-METHODS = ("direct", "riemann", "oracle")
+
+# method -> its route, route(layout, geom, n_r, *, model): the Fisher block
+# at a scene or a grid, or the oracle's result at a scene
+_ROUTES = {
+    "direct": bundle_fisher,
+    "riemann": partial(sums_fisher, method="riemann"),
+    "oracle": full_fisher_oracle,
+}
+METHODS = tuple(_ROUTES)
 
 
 class ConfigError(ValueError):
@@ -277,72 +287,62 @@ def _row(cfg: ScenarioConfig, r: float, theta: float, crb_theta, crb_r, code: st
                  [code])[0]
 
 
-def _result(cfg: ScenarioConfig, layout: ArrayLayout, geom: SceneGeometry):
-    """The scene's result on cfg's route: its block, its oracle result or its kept error."""
-    if cfg.method == "direct":
-        return outcome(bundle_fisher, layout, geom, cfg.N_r, model=cfg.model)
-    if cfg.method == "oracle":
-        return outcome(full_fisher_oracle, layout, geom, cfg.N_r, model=cfg.model)
-    return outcome(sums_fisher, layout, geom, cfg.N_r, model=cfg.model, method="riemann")
-
-
 def _rows_on_layout(cfg: ScenarioConfig, points, layout: ArrayLayout | None = None) -> list:
     """One row per (r, theta) in ``points``, the other fields from cfg.
 
     Every evaluated CLI row comes from here.  The layout does not depend on
     r or theta: it is built once from cfg unless the caller passes one, and
-    a layout's error goes on every point.  The method picks one route for
-    every valid scene: ``direct`` the steering bundles, ``oracle`` a
-    ``full_fisher_oracle`` call per scene, any other the closed-form sums.
-    A single point stays in plain floats: its scene, its result
-    (``_result``) and ``_bounds``.  Two or more points run as columns
+    a layout's error goes on every point.  The method picks one route from
+    ``_ROUTES`` for every valid scene, bound here to the layout, receiver
+    and model; a method outside the table raises ConfigError.  A single
+    point stays in plain floats: its scene, the route at it and
+    ``_bounds``; so does each point of an oracle call, since the oracle
+    takes no grid.  Two or more points of the other routes run as columns
     (``_grid_rows``).
     """
+    if cfg.method not in _ROUTES:
+        raise ConfigError(f"method must be one of {METHODS}, got {cfg.method!r}")
     try:
         layout = build_layout(cfg) if layout is None else layout
     except CrbEngineError as exc:
         return [_row(cfg, r, theta, None, None, error_code(exc)) for r, theta in points]
     beta_sq, sigma_n_sq = received_gain_sq(cfg.alpha, cfg.N_r, layout.n_elements), cfg.sigma_n_sq
-    if len(points) > 1:
-        return _grid_rows(cfg, points, layout, beta_sq, sigma_n_sq)
+    fisher = partial(_ROUTES[cfg.method], layout, n_r=cfg.N_r, model=cfg.model)
+    if len(points) > 1 and cfg.method != "oracle":
+        return _grid_rows(cfg, points, layout, fisher, beta_sq, sigma_n_sq)
     rows = []
     for r, theta in points:
         result = outcome(SceneGeometry, r, theta, cfg.R, cfg.vartheta)
         if isinstance(result, SceneGeometry):
-            result = _result(cfg, layout, result)
+            result = outcome(fisher, result)
         rows.append(_row(cfg, r, theta, *_bounds(cfg, layout, beta_sq, sigma_n_sq, result)))
     return rows
 
 
-def _grid_rows(cfg: ScenarioConfig, points, layout: ArrayLayout, beta_sq: float,
+def _grid_rows(cfg: ScenarioConfig, points, layout: ArrayLayout, fisher, beta_sq: float,
                sigma_n_sq: float) -> list:
     """The rows of two or more points, kept as columns from the scenes to the bounds.
 
     The scene checks run once on the r and theta arrays (``scenes_hold``).
     The valid points' Fisher blocks come back as five columns from one
-    ``bundle_fishers`` or ``sums_fishers`` call on their grid, with no scene
-    object for a point that does not run alone.  ``crb`` then inverts the
-    columns as arrays, and the two roots follow; numpy's + - * / and sqrt
-    round as Python's float operations do, so each bound has the bits of
-    the scalar path.  A point that ``crb`` cannot invert, a bound below
-    zero, an invalid scene, a kept error and an oracle result each take the
-    scalar path (``_bounds``), so every row gets the very bounds and code
-    it gets alone.
+    ``fisher_columns`` call of the route ``fisher`` on their grid, with no
+    scene object for a point that does not run alone.  ``crb`` then inverts
+    the columns as arrays, and the two roots follow; numpy's + - * / and
+    sqrt round as Python's float operations do, so each bound has the bits
+    of the scalar path.  A point that ``crb`` cannot invert, a bound below
+    zero, an invalid scene and a kept error each take the scalar path
+    (``_bounds``), so every row gets the very bounds and code it gets alone.
     """
     r, theta = np.array(points, dtype=float).T
     valid = scenes_hold(r, theta, cfg.R, cfg.vartheta)
     index = np.flatnonzero(valid).tolist()
     blocks = np.full((5, len(points)), np.nan)
-    # point -> its scene error, kept error, oracle result or block, for the scalar path
+    # point -> its scene error, kept error or block, for the scalar path
     alone = {p: outcome(SceneGeometry, *points[p], cfg.R, cfg.vartheta)
              for p in np.flatnonzero(~valid).tolist()}
-    if cfg.method == "oracle":
-        alone.update((p, _result(cfg, layout, SceneGeometry(*points[p], cfg.R, cfg.vartheta)))
-                     for p in index)
-    elif index:
+    if index:
         grid = GeometryGrid.of_columns(r[valid], theta[valid], cfg.R, cfg.vartheta)
-        fishers = bundle_fishers if cfg.method == "direct" else sums_fishers
-        blocks[:, valid], errors = fishers(layout, grid, cfg.N_r, model=cfg.model)
+        blocks[:, valid], errors = fisher_columns(grid, fisher)
         alone.update((index[p], error) for p, error in errors.items())
     with np.errstate(all="ignore"):
         try:

@@ -38,15 +38,16 @@ the package: it is the tests' reference for ``amfs``, and the benchmark's
 tracer and reference recorder name it.  It moves out of the package once
 the recorder builds its own composite vector (ROADMAP item 2).
 
-One point or a grid of them.  ``bundle_fisher`` takes one scene, and
-``bundle_fishers`` a ``GeometryGrid``, returning ``(blocks, errors)`` as
-``crb_analytic.sums_fishers`` does (``fisher_columns``): a (5, P) array of
-q11, q12, q22 and the two floors, one column per point, and each point's
-engine error.  The element positions, k0 and the offsets are taken once
-per call; the grid then runs in batches of at most ``BATCH_ELEMENTS``
-vector entries, each vector one row of a (points, entries) array that
-keeps the single point's operations in their order.  A batch's Gram entry
-is one ``np.vecdot``, which sums each row as that row's ``np.vdot`` does
+One point or a grid of them.  ``bundle_fisher`` takes one scene or a
+``GeometryGrid``, as ``crb_analytic.sums_fisher`` does; on a grid its
+fields hold one entry per point.  ``fisher_columns(grid, fisher)`` turns
+either route on a grid into (blocks, errors): a (5, P) array of q11, q12,
+q22 and the two floors, one column per point, and each point's engine
+error.  The element positions, k0 and the offsets are taken once per call;
+the grid then runs in batches of at most ``BATCH_ELEMENTS`` vector entries,
+each vector one row of a (points, entries) array that keeps the single
+point's operations in their order.  A batch's Gram entry is one
+``np.vecdot``, which sums each row as that row's ``np.vdot`` does
 (``np.einsum('pi,pi->p')`` sums in another order and moves bits).  The
 reduction (``_inner_products``, then ``_schur``) is written once over real
 and imaginary parts, in ``pointwise`` style: one point's Python floats or
@@ -62,12 +63,12 @@ point's block alone.  Three things would break that:
   calls it, which differs from x*x.
 
 Where a point raises alone its column reads NaN (``pointwise.checked``),
-and a batch that raises as a whole leaves all its columns NaN; each such
-column is evaluated again alone (``fisher_columns``, the one rule both
-routes share), so every point gets its own block or error.  ``crb`` is
-written in the same style: one block's floats raise where a grid's
-columns get NaN bounds.  ``tx_bundles`` builds the bundles of a list of
-points in one batch, which raises if any point does.
+and a batch that raises as a whole makes the grid raise; each such column,
+or every column, is evaluated again alone (``fisher_columns``, the one
+rule both routes share), so every point gets its own block or error.
+``crb`` is written in the same style: one block's floats raise where a
+grid's columns get NaN bounds.  ``tx_bundles`` builds the bundles of a
+list of points in one batch, which raises if any point does.
 """
 
 from __future__ import annotations
@@ -744,14 +745,23 @@ def bundle_crb(
 
 
 def bundle_fisher(
-    layout: ArrayLayout, geom: SceneGeometry, n_r: int, *, model: str = "sw"
+    layout: ArrayLayout, geom: SceneGeometry | GeometryGrid, n_r: int, *, model: str = "sw"
 ) -> NormalizedFisher:
-    """Normalized Fisher block assembled from the steering bundles.
+    """Normalized Fisher block assembled from the steering bundles, at a scene or a grid.
 
-    A transmit error comes before a receive error.
+    A transmit error comes before a receive error.  On a grid the transmit
+    and receive Grams are gathered into columns batch by batch
+    (``_gram_columns``), and one reduction turns them into the blocks.
     """
-    t = _tx_grams(layout, model)[0](geom.r, math.sin(geom.theta), math.cos(geom.theta))
-    return _schur(*_inner_products(t, _rx_grams(layout, n_r)(geom)))
+    tx, row = _tx_grams(layout, model)
+    if isinstance(geom, GeometryGrid):
+        rx, scenes = _rx_grams(layout, n_r), _with_arrays(geom)
+        t = _gram_columns(lambda at: tx(*_targets_at(scenes, at)), geom.size, row)
+        g = _gram_columns(lambda at: rx(_scenes_at(scenes, at)), geom.size, n_r)
+    else:
+        t = tx(geom.r, math.sin(geom.theta), math.cos(geom.theta))
+        g = _rx_grams(layout, n_r)(geom)
+    return _schur(*_inner_products(t, g))
 
 
 # Vector entries, summed over the points, that one batch builds at once: N_t
@@ -772,30 +782,31 @@ def bundle_fisher(
 BATCH_ELEMENTS = 2**13
 
 
-def fisher_columns(grid: GeometryGrid, whole, alone) -> tuple:
-    """(blocks, errors) at each point of a grid: whole(grid)'s columns, with alone's fallback.
+def fisher_columns(grid: GeometryGrid, fisher) -> tuple:
+    """(blocks, errors) at each point of a grid: fisher(grid)'s columns, each checked alone.
 
-    whole(grid) returns a ``NormalizedFisher`` whose fields hold one entry
-    per point (a float where every point shares it); alone(scene) is one
-    point's block.  blocks is a (5, P) array of q11, q12, q22, q11_floor and
-    q22_floor, one column per point, and errors maps each point that has an
-    engine error to it, kept bare (``errors.outcome``); its column reads
-    NaN.  A column that comes out non-finite, and every column when whole
-    raises an engine or arithmetic error, is taken from alone at the
-    point's scene (``GeometryGrid.scene``), so each column and error is the
-    very one the point gets alone.
+    fisher is a route bound to its layout, receiver and model: fisher(grid)
+    returns a ``NormalizedFisher`` whose fields hold one entry per point (a
+    float where every point shares it), and fisher(scene) one point's block.
+    blocks is a (5, P) array of q11, q12, q22, q11_floor and q22_floor, one
+    column per point, and errors maps each point that has an engine error to
+    it, kept bare (``errors.outcome``); its column reads NaN.  A column that
+    comes out non-finite, and every column when fisher(grid) raises an
+    engine or arithmetic error, is taken from fisher at the point's scene
+    (``GeometryGrid.scene``), so each column and error is the very one the
+    point gets alone.
     """
     blocks = np.full((5, grid.size), np.nan)
     try:
         with np.errstate(all="ignore"):
-            nf = whole(grid)
+            nf = fisher(grid)
         for row, col in zip(blocks, (nf.q11, nf.q12, nf.q22, nf.q11_floor, nf.q22_floor)):
             row[:] = col
     except (CrbEngineError, ArithmeticError):
         pass
     errors = {}
     for p in np.flatnonzero(~np.isfinite(blocks).all(axis=0)).tolist():
-        nf = outcome(alone, grid.scene(p))
+        nf = outcome(fisher, grid.scene(p))
         if isinstance(nf, CrbEngineError):
             errors[p] = nf
             blocks[:, p] = np.nan
@@ -804,40 +815,18 @@ def fisher_columns(grid: GeometryGrid, whole, alone) -> tuple:
     return blocks, errors
 
 
-def bundle_fishers(layout: ArrayLayout, grid: GeometryGrid, n_r: int, *, model: str) -> tuple:
-    """``bundle_fisher`` at each point of a grid, as (blocks, errors) columns (``fisher_columns``).
-
-    The transmit and receive Grams are gathered into columns batch by batch
-    (``_gram_columns``), and one reduction turns them into the blocks.
-    """
-
-    def whole(grid):
-        (tx, row), rx = _tx_grams(layout, model), _rx_grams(layout, n_r)
-        scenes = _with_arrays(grid)
-        t = _gram_columns(lambda at: tx(*_targets_at(scenes, at)), grid.size, row)
-        g = _gram_columns(lambda at: rx(_scenes_at(scenes, at)), grid.size, n_r)
-        return _schur(*_inner_products(t, g))
-
-    return fisher_columns(grid, whole, lambda geom: bundle_fisher(layout, geom, n_r, model=model))
-
-
 def _gram_columns(gram, size: int, row: int) -> tuple:
     """The Gram entries of points 0 to size, gram(slice) a batch at a time, as (re, im) columns.
 
     A batch holds at most ``BATCH_ELEMENTS`` vector entries, row of them a
     point (at least one point), and is freed before the next is built.  A
-    batch that raises leaves NaN in its columns.
+    batch that raises makes the whole grid raise.
     """
-    re, im = np.full((2, len(_TX_ENTRIES), size), np.nan)
+    re, im = np.empty((2, len(_TX_ENTRIES), size))
     step = max(1, BATCH_ELEMENTS // row)
     for start in range(0, size, step):
         at = slice(start, start + step)
-        try:
-            with np.errstate(all="ignore"):
-                entries = gram(at)
-        except (CrbEngineError, ArithmeticError):
-            continue
-        for k, (entry_re, entry_im) in enumerate(entries):
+        for k, (entry_re, entry_im) in enumerate(gram(at)):
             re[k, at], im[k, at] = entry_re, entry_im
     return tuple(zip(re, im))
 

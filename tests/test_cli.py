@@ -123,6 +123,16 @@ def test_method_closed_is_riemann_alias(capsys):
         validate_config(ScenarioConfig(model="pw", method="closed"))
 
 
+@pytest.mark.parametrize("method", ["Direct", "orcale"])
+def test_a_method_outside_the_route_table_is_a_config_error(method):
+    # not another route's rows under the unknown label, at a point or a sweep
+    cfg = ScenarioConfig(method=method)
+    for run in (run_point, lambda cfg: run_sweep(cfg, "r", 2.0, 10.0, 3)):
+        with pytest.raises(ConfigError) as info:
+            run(cfg)
+        assert str(info.value) == f"method must be one of {METHODS}, got {method!r}"
+
+
 def test_oracle_method_runs(capsys):
     code, out = run_cli(capsys, ["crb", *DESK, "--method", "oracle"])
     assert code == 0
@@ -952,7 +962,7 @@ def test_error_shared_by_a_sweep_is_not_raised_per_point(monkeypatch):
     # a batch's layout error is one object for all its points; raising it
     # once a point would chain one traceback entry a point onto it
     shared = InvalidLayout("shared")
-    monkeypatch.setattr(experiment_cli, "bundle_fishers", lambda layout, grid, n_r, *, model: (
+    monkeypatch.setattr(experiment_cli, "fisher_columns", lambda grid, fisher: (
         np.full((5, grid.size), np.nan), dict.fromkeys(range(grid.size), shared)))
     rows = run_sweep(ScenarioConfig(K=3, M=16, I=4, theta=0.3), "r", 1.0, 2.0, 50)
     assert [row["error_code"] for row in rows] == ["invalid_layout"] * 50
@@ -1025,20 +1035,20 @@ def test_a_raised_point_error_leaves_no_reference_cycles(call, code):
 def fisher_columns_calls(whole_q11, rs):
     """fisher_columns' (blocks, errors) on a grid at ranges rs, with the grids and ranges it ran.
 
-    whole_q11 is the q11 column ``whole`` returns (its other entries are
-    one float each), or the exception type it raises.  ``alone`` fails the
-    point at r = 2 with a chained DomainError and gives any other point
+    One route answers the grid and each scene.  On the grid it returns
+    whole_q11 as the q11 column (its other entries are one float each), or
+    raises whole_q11 where that is an exception type.  At a scene it fails
+    the point at r = 2 with a chained DomainError and gives any other point
     q11 = -r.
     """
     seen = {"whole": [], "alone": []}
 
-    def whole(grid):
-        seen["whole"].append(grid.r.tolist())
-        if isinstance(whole_q11, type):
-            raise whole_q11("the whole grid")
-        return NormalizedFisher(np.array(whole_q11), 0.5, 2.0, 0.25, 0.125)
-
-    def alone(geom):
+    def route(geom):
+        if isinstance(geom, GeometryGrid):
+            seen["whole"].append(geom.r.tolist())
+            if isinstance(whole_q11, type):
+                raise whole_q11("the whole grid")
+            return NormalizedFisher(np.array(whole_q11), 0.5, 2.0, 0.25, 0.125)
         seen["alone"].append(geom.r)
         if geom.r == 2.0:
             try:
@@ -1048,7 +1058,7 @@ def fisher_columns_calls(whole_q11, rs):
         return NormalizedFisher(-geom.r, 0.0, 1.0)
 
     grid = GeometryGrid(np.array(rs, dtype=float), 0.3, 20.0, 0.0, len(rs))
-    return fisher_columns(grid, whole, alone), seen
+    return fisher_columns(grid, route), seen
 
 
 def assert_kept_bare(error):
@@ -1107,9 +1117,9 @@ def test_every_traced_name_is_a_module_level_function():
 
 def test_no_figure_transmit_batch_falls_back_point_by_point(monkeypatch):
     # fig3-fig9 build 148 transmit batches of two or more points, none of
-    # them raises and no point runs alone, so building points alone costs
-    # the figures nothing; the bundle route builds its batches through the
-    # transmit Gram table
+    # them raises and no point of a direct grid runs alone, so building
+    # points alone costs the figures nothing; the bundle route builds its
+    # batches through the transmit Gram table
     batches = []
     for model, setup in list(fisher_core._TX_GRAMS.items()):
         def spy_setup(layout, setup=setup):
@@ -1127,13 +1137,24 @@ def test_no_figure_transmit_batch_falls_back_point_by_point(monkeypatch):
 
             return spy, row
         monkeypatch.setitem(fisher_core._TX_GRAMS, model, spy_setup)
-    alone = []
-    real_alone = fisher_core.bundle_fisher
-    monkeypatch.setattr(fisher_core, "bundle_fisher",
-                        lambda *args, **kwargs: (alone.append(args), real_alone(*args, **kwargs))[1])
+    direct, alone = [], []
+    real_columns = experiment_cli.fisher_columns
+
+    def columns(grid, fisher):
+        def spy(geom):
+            if geom is not grid:
+                alone.append(geom)
+            return fisher(geom)
+
+        if fisher.func is not bundle_fisher:
+            return real_columns(grid, fisher)
+        direct.append(grid.size)
+        return real_columns(grid, spy)
+
+    monkeypatch.setattr(experiment_cli, "fisher_columns", columns)
     for figure in experiment_cli.FIGURES.values():
         figure()
-    assert any(size > 1 for size, _ in batches)
+    assert any(size > 1 for size, _ in batches) and direct
     assert [b for b in batches if b[1] is not None] == []
     assert alone == []
 

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from nearfield_crb.fisher_core import (
     amfs,
     composite_bundle,
     det_floor,
+    fisher_columns,
     hspw_tx_bundle,
     pw_tx_bundle,
     rx_bundle,
@@ -315,8 +317,9 @@ def test_spherical_trio_derivatives_are_the_complex_chains_bits(count, theta, ba
 
 
 def assert_columns_are_single_points(lay, geoms, n_r, model):
-    """Each column of ``bundle_fishers`` on geoms is ``bundle_fisher`` at its point, word for word."""
-    blocks, errors = fisher_core.bundle_fishers(lay, GeometryGrid.of(geoms), n_r, model=model)
+    """Each column of the bundle route on the grid of geoms is its point alone, word for word."""
+    blocks, errors = fisher_columns(GeometryGrid.of(geoms),
+                                    partial(bundle_fisher, lay, n_r=n_r, model=model))
     assert blocks.shape == (5, len(geoms))
     for p, geom in enumerate(geoms):
         want = outcome(bundle_fisher, lay, geom, n_r, model=model)
@@ -431,7 +434,7 @@ def test_empty_batch_gives_no_bundles(model):
     lay = std_wsms(2, 3, 0)
     assert fisher_core.tx_bundles(lay, [], model) == []
     empty = GeometryGrid(np.empty(0), np.empty(0), 20.0, 0.0, 0)
-    blocks, errors = fisher_core.bundle_fishers(lay, empty, 4, model=model)
+    blocks, errors = fisher_columns(empty, partial(bundle_fisher, lay, n_r=4, model=model))
     assert blocks.shape == (5, 0) and errors == {}
 
 
@@ -452,7 +455,7 @@ def test_bundle_fisher_allocates_no_composite_vector(model):
 
 @pytest.mark.parametrize("vartheta", [0.0, 0.1])
 @pytest.mark.parametrize("model", ["sw", "hspw", "pw"])
-def test_bundle_fishers_releases_each_batch(model, vartheta):
+def test_bundle_fisher_grid_releases_each_batch(model, vartheta):
     # K=12, M=128: a batch holds 5 points (58 of pw's, whose rows hold the
     # K + M factor entries), so 4 * step points are four batches; a batch
     # still alive when the next is built would raise the peak.  A tilted
@@ -465,7 +468,7 @@ def test_bundle_fishers_releases_each_batch(model, vartheta):
     def peak(points):
         tracemalloc.start()
         try:
-            fisher_core.bundle_fishers(lay, GeometryGrid.of(points), 4, model=model)
+            fisher_columns(GeometryGrid.of(points), partial(bundle_fisher, lay, n_r=4, model=model))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

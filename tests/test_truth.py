@@ -23,6 +23,7 @@ from mpmath import mpf
 from conftest import std_wsms
 from truth import exact_block
 from nearfield_crb import SceneGeometry, bundle_fisher, experiment_cli, make_ua, sums_fisher
+from nearfield_crb.geometry import GeometryGrid
 
 ROUTES = {"bundle": bundle_fisher, "direct": partial(sums_fisher, method="direct")}
 CASES = [(m, "bundle") for m in ("sw", "hspw", "pw")] + [(m, "direct") for m in ("sw", "hspw")]
@@ -33,20 +34,18 @@ def figure_scenes() -> tuple:
     """(layout, geom, n_r, model) at the first and last point of each
     direct-route call that fig3-fig9 make, without repeats."""
     calls = []
-    real, real_one = experiment_cli.bundle_fishers, experiment_cli.bundle_fisher
+    real = experiment_cli._ROUTES["direct"]
 
-    def record(layout, grid, n_r, *, model):
-        ends = range(0, grid.size, max(1, grid.size - 1))
-        calls.extend((layout, grid.scene(p), n_r, model) for p in ends)
-        return real(layout, grid, n_r, model=model)
-
-    def record_one(layout, geom, n_r, *, model):
-        calls.append((layout, geom, n_r, model))
-        return real_one(layout, geom, n_r, model=model)
+    def record(layout, geom, n_r, *, model):
+        if isinstance(geom, GeometryGrid):
+            ends = range(0, geom.size, max(1, geom.size - 1))
+            calls.extend((layout, geom.scene(p), n_r, model) for p in ends)
+        else:
+            calls.append((layout, geom, n_r, model))
+        return real(layout, geom, n_r, model=model)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(experiment_cli, "bundle_fishers", record)
-        patch.setattr(experiment_cli, "bundle_fisher", record_one)
+        patch.setitem(experiment_cli._ROUTES, "direct", record)
         for rows in experiment_cli.FIGURES.values():
             rows()
     return tuple(dict.fromkeys(calls))
