@@ -29,9 +29,7 @@ The assembly takes one point or a grid: ``chi_factors``, the
 ``*_fisher_from_sums`` assemblies and ``sums_fisher`` accept a
 ``GeometryGrid`` wherever they accept a scene, and then return arrays
 with one entry per point, each bit for bit the point's own float (see
-``pointwise``).  ``fisher_core.fisher_columns`` turns ``sums_fisher`` on a
-grid into five columns with each point's own engine error, by the rule the
-bundle route's grids follow too.
+``pointwise``).
 """
 
 from __future__ import annotations
@@ -197,6 +195,9 @@ def sums_fisher(
     """Normalized Fisher block from the sums ``method`` gives for ``model``.
 
     geom is one scene or a ``GeometryGrid`` (see the module docstring).
+    Called on a grid directly, it warns for the whole grid: per-point errors,
+    and the ``np.errstate`` that hides overflow warnings, come only through
+    ``fisher_core.fisher_columns``.
     """
     if (model, method) not in _SUMS:
         raise DomainError(

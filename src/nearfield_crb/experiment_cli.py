@@ -24,9 +24,9 @@ of an oracle call, stays in plain floats, and ``_bounds`` turns its result
 into its bounds or error code.  A sweep on the other routes keeps its
 points as columns from the grid to the CSV line: the scene checks run once
 on the r and theta arrays, the route's Fisher blocks come back as five
-columns, and ``crb`` inverts them all as arrays.  Only a row that the
-columns cannot vouch for (an invalid scene, a kept error, a block at a
-round-off floor) takes ``_bounds``, so each row is the one its point gets
+columns, ``crb`` inverts them as arrays and ``crb_theta_only`` gives the
+angle bound of those it refuses.  A row takes the one-point path only for
+an invalid scene or a kept error, so each row is the one its point gets
 alone.  ``write_rows`` formats the cells a sweep's rows share once.
 
 Scenario parameters come from defaults, then an optional --config file of
@@ -62,9 +62,9 @@ from .array_layouts import ArrayLayout, d0_from_exponent, make_dua, make_ua, mak
 from .crb_analytic import hspw_crb_asymptotes, sums_fisher
 from .errors import CrbEngineError, DomainError, SingularFisher, error_code, outcome
 from .fisher_core import (
-    CrbResult,
     NormalizedFisher,
     OracleResult,
+    _refused,
     bundle_fisher,
     crb,
     crb_theta_only,
@@ -232,9 +232,8 @@ def _bounds(cfg: ScenarioConfig, layout: ArrayLayout, beta_sq: float, sigma_n_sq
 
     The result is a kept engine error, an oracle result or a normalized
     Fisher block.  A kept error is never raised: it can be shared by many
-    points, and each raise would lengthen its traceback.  This is the
-    scalar path: a one-point call, an oracle row, and each row of a grid
-    that its columns cannot vouch for (``_grid_rows``) take it.
+    points, and each raise would lengthen its traceback.  Only one-point
+    calls and oracle rows take this path, not a grid's rows (``_grid_rows``).
     """
     if isinstance(result, CrbEngineError):
         return None, None, error_code(result)
@@ -244,17 +243,11 @@ def _bounds(cfg: ScenarioConfig, layout: ArrayLayout, beta_sq: float, sigma_n_sq
             require_gain_and_noise(beta_sq, sigma_n_sq)
             scale = sigma_n_sq * (received_gain_sq(1.0, cfg.N_r, layout.n_elements) / beta_sq)
             return result.crb_theta * scale, result.crb_r * scale, ""
-        try:
-            res = crb(result, beta_sq, sigma_n_sq)
-        except SingularFisher as singular:
-            # Decoupled degeneracies keep the angle estimable (planar phases carry
-            # no range curvature; broadside K<=2 hybrid layouts lose across-subarray
-            # range information identically): the row keeps the scalar angle bound.
-            try:
-                return crb_theta_only(result, beta_sq, sigma_n_sq), None, "singular_fisher"
-            except DomainError:
-                return None, None, error_code(singular)
+        res = crb(result, beta_sq, sigma_n_sq)
         return res.crb_theta, res.crb_r, ""
+    except SingularFisher:  # a decoupled block keeps its angle bound
+        theta = outcome(crb_theta_only, result, beta_sq, sigma_n_sq)
+        return (None if isinstance(theta, CrbEngineError) else theta), None, "singular_fisher"
     except CrbEngineError as exc:
         return None, None, error_code(exc)
 
@@ -309,7 +302,7 @@ def _rows_on_layout(cfg: ScenarioConfig, points, layout: ArrayLayout | None = No
     beta_sq, sigma_n_sq = received_gain_sq(cfg.alpha, cfg.N_r, layout.n_elements), cfg.sigma_n_sq
     fisher = partial(_ROUTES[cfg.method], layout, n_r=cfg.N_r, model=cfg.model)
     if len(points) > 1 and cfg.method != "oracle":
-        return _grid_rows(cfg, points, layout, fisher, beta_sq, sigma_n_sq)
+        return _grid_rows(cfg, points, fisher, beta_sq, sigma_n_sq)
     rows = []
     for r, theta in points:
         result = outcome(SceneGeometry, r, theta, cfg.R, cfg.vartheta)
@@ -319,48 +312,49 @@ def _rows_on_layout(cfg: ScenarioConfig, points, layout: ArrayLayout | None = No
     return rows
 
 
-def _grid_rows(cfg: ScenarioConfig, points, layout: ArrayLayout, fisher, beta_sq: float,
-               sigma_n_sq: float) -> list:
+def _grid_rows(cfg: ScenarioConfig, points, fisher, beta_sq: float, sigma_n_sq: float) -> list:
     """The rows of two or more points, kept as columns from the scenes to the bounds.
 
-    The scene checks run once on the r and theta arrays (``scenes_hold``).
-    The valid points' Fisher blocks come back as five columns from one
-    ``fisher_columns`` call of the route ``fisher`` on their grid, with no
-    scene object for a point that does not run alone.  ``crb`` then inverts
-    the columns as arrays, and the two roots follow; numpy's + - * / and
-    sqrt round as Python's float operations do, so each bound has the bits
-    of the scalar path.  A point that ``crb`` cannot invert, a bound below
-    zero, an invalid scene and a kept error each take the scalar path
-    (``_bounds``), so every row gets the very bounds and code it gets alone.
+    The scene checks run once on the r and theta arrays (``scenes_hold``),
+    ``fisher_columns`` gives the valid points' blocks as five columns, ``crb``
+    inverts them and ``crb_theta_only`` gives the angle bound of the blocks
+    it refuses, on those columns alone.  numpy's + - * / and sqrt round as
+    Python's float operations do, so every row is the one its point gets
+    alone (``_bounds``).  Only an invalid scene and a kept error are handled
+    per point, by their codes.
     """
     r, theta = np.array(points, dtype=float).T
     valid = scenes_hold(r, theta, cfg.R, cfg.vartheta)
     index = np.flatnonzero(valid).tolist()
     blocks = np.full((5, len(points)), np.nan)
-    # point -> its scene error, kept error or block, for the scalar path
-    alone = {p: outcome(SceneGeometry, *points[p], cfg.R, cfg.vartheta)
+    # point -> the code of its invalid scene or kept error; its block stays NaN
+    codes = {p: error_code(outcome(SceneGeometry, *points[p], cfg.R, cfg.vartheta))
              for p in np.flatnonzero(~valid).tolist()}
     if index:
         grid = GeometryGrid.of_columns(r[valid], theta[valid], cfg.R, cfg.vartheta)
         blocks[:, valid], errors = fisher_columns(grid, fisher)
-        alone.update((index[p], error) for p, error in errors.items())
+        codes.update((index[p], error_code(error)) for p, error in errors.items())
     with np.errstate(all="ignore"):
         try:
             bounds = crb(NormalizedFisher(*blocks), beta_sq, sigma_n_sq)
-        except DomainError:  # a gain or noise power that is not positive
-            bounds = CrbResult(*blocks[:2] * math.nan)
-        crb_theta, crb_r = bounds.crb_theta, bounds.crb_r
-        # a NaN bound (a block crb cannot invert, or a quotient of
-        # infinities) takes the scalar path, where its root is blank
-        fast = (crb_theta >= 0.0) & (crb_r >= 0.0)
+            crb_theta, crb_r = bounds.crb_theta, bounds.crb_r
+        except DomainError as exc:  # a gain or noise power that is not positive
+            crb_theta, crb_r = blocks[:2] * math.nan
+            codes = dict.fromkeys(range(len(points)), error_code(exc)) | codes
+        # the blocks crb refused, by its own test, among the NaN rows without a code
+        at = [p for p in np.flatnonzero(np.isnan(crb_theta)).tolist() if p not in codes]
+        if at:
+            at = np.array(at)[_refused(NormalizedFisher(*blocks[:, at]))]
+            crb_theta[at] = crb_theta_only(NormalizedFisher(*blocks[:, at]), beta_sq, sigma_n_sq)
+            codes.update(dict.fromkeys(at.tolist(), "singular_fisher"))
         cells = [crb_theta.tolist(), crb_r.tolist(), np.sqrt(crb_theta).tolist(),
                  np.sqrt(crb_r).tolist(), [""] * len(points)]
-    for p in np.flatnonzero(~fast).tolist():
-        result = alone[p] if p in alone else NormalizedFisher(*blocks[:, p].tolist())
-        crb_theta_p, crb_r_p, code = _bounds(cfg, layout, beta_sq, sigma_n_sq, result)
-        scalar = (crb_theta_p, crb_r_p, _root(crb_theta_p), _root(crb_r_p), code)
-        for col, value in zip(cells, scalar):
-            col[p] = value
+    # each row with a code is here (its crb_r is NaN): only crb_theta_only's bound stays
+    for p in np.flatnonzero(~((crb_theta >= 0.0) & (crb_r >= 0.0))).tolist():
+        if p in codes:
+            cells[0][p] = None if math.isnan(cells[0][p]) else cells[0][p]
+            cells[1][p], cells[4][p] = None, codes[p]
+        cells[2][p], cells[3][p] = _root(cells[0][p]), _root(cells[1][p])
     return _rows(cfg, points, *cells)
 
 

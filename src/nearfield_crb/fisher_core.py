@@ -66,8 +66,8 @@ Where a point raises alone its column reads NaN (``pointwise.checked``),
 and a batch that raises as a whole makes the grid raise; each such column,
 or every column, is evaluated again alone (``fisher_columns``, the one
 rule both routes share), so every point gets its own block or error.
-``crb`` is written in the same style: one block's floats raise where a
-grid's columns get NaN bounds.  ``tx_bundles`` builds the bundles of a
+``crb`` and ``crb_theta_only`` are written alike: a block's floats raise
+where a grid's columns get NaN.  ``tx_bundles`` builds the bundles of a
 list of points in one batch, which raises if any point does.
 """
 
@@ -685,23 +685,26 @@ def require_gain_and_noise(beta_sq: float, sigma_n_sq: float) -> None:
         raise DomainError(f"sigma_n_sq must be positive, got {sigma_n_sq!r}")
 
 
+def _refused(nf: NormalizedFisher):
+    """Whether ``crb`` refuses the block: a bool for a point, a mask for a grid (NaN fails)."""
+    det_ok = nf.det > det_floor(nf.q11, nf.q12, nf.q22, nf.q11_floor, nf.q22_floor)
+    return fails((nf.q11 > nf.q11_floor) & (nf.q22 > nf.q22_floor) & det_ok)
+
+
 def crb(nf: NormalizedFisher, beta_sq: float, sigma_n_sq: float) -> CrbResult:
     """Angle and range bounds from the normalized Fisher block, of one point or a grid.
 
-    A block whose q11 or q22 is at its round-off floor, or whose det is at
-    ``det_floor``, is singular.  The comparisons are written so that a NaN
-    entry fails them: a block that overflowed is singular, not a NaN bound.
-    A point's floats raise SingularFisher for the first test that fails, in
-    that order; a grid's arrays get NaN bounds where any fails
-    (``pointwise.checked``).
+    A block at a round-off floor is singular (``_refused``).  A point raises
+    SingularFisher for the first of q11, q22 and det that fails; a grid gets
+    NaN bounds where any fails (``pointwise.checked``).
     """
     require_gain_and_noise(beta_sq, sigma_n_sq)
     det = nf.det
-    theta_ok, range_ok = nf.q11 > nf.q11_floor, nf.q22 > nf.q22_floor
-    det_ok = det > det_floor(nf.q11, nf.q12, nf.q22, nf.q11_floor, nf.q22_floor)
-    invertible = checked(det, fails(theta_ok & range_ok & det_ok), lambda: SingularFisher(
-        f"theta information is at the round-off floor (q11 = {nf.q11!r})" if not theta_ok
-        else f"range information is at the round-off floor (q22 = {nf.q22!r})" if not range_ok
+    invertible = checked(det, _refused(nf), lambda: SingularFisher(
+        f"theta information is at the round-off floor (q11 = {nf.q11!r})"
+        if not nf.q11 > nf.q11_floor
+        else f"range information is at the round-off floor (q22 = {nf.q22!r})"
+        if not nf.q22 > nf.q22_floor
         else f"(theta, r) Fisher block is singular (det = {det!r})"))
     pref = sigma_n_sq / (2.0 * beta_sq)
     return CrbResult(crb_theta=pref * nf.q22 / invertible, crb_r=pref * nf.q11 / invertible)
@@ -713,24 +716,23 @@ def _unit_crb(nf: NormalizedFisher, layout: ArrayLayout, n_r: int) -> CrbResult:
 
 
 def crb_theta_only(nf: NormalizedFisher, beta_sq: float, sigma_n_sq: float) -> float:
-    """Angle bound when the block is angle/range decoupled.
+    """Angle bound when the block is angle/range decoupled, of one point or a grid.
 
     Broadside and planar-wave scenarios can zero the range information
     entirely (q12 = 0 with q22 = 0): the pair bound does not exist, but the
     angle stays estimable and its bound is the scalar inverse.  Decoupling
     must hold at round-off scale relative to q11 (``DECOUPLED_REL_TOL``), so
-    that this never silently mis-handles a genuinely coupled block; a
-    coupled block raises DomainError.
+    that this never silently mis-handles a genuinely coupled block.  A point
+    raises DomainError if coupled, then as ``crb`` for the gain, then SingularFisher
+    for q11 at its floor or NaN; a grid gets NaN at coupled and floored points.
     """
-    if abs(nf.q12) > DECOUPLED_REL_TOL * abs(nf.q11):
-        raise DomainError(
-            f"theta-only bound needs a decoupled block, got q12 = {nf.q12!r} "
-            f"with q11 = {nf.q11!r}"
-        )
+    q11 = checked(nf.q11, abs(nf.q12) > DECOUPLED_REL_TOL * abs(nf.q11), lambda: DomainError(
+        f"theta-only bound needs a decoupled block, got q12 = {nf.q12!r} "
+        f"with q11 = {nf.q11!r}"))
     require_gain_and_noise(beta_sq, sigma_n_sq)
-    if not nf.q11 > nf.q11_floor:
-        raise SingularFisher(f"theta information is at the round-off floor (q11 = {nf.q11!r})")
-    return sigma_n_sq / (2.0 * beta_sq * nf.q11)
+    q11 = checked(q11, fails(q11 > nf.q11_floor), lambda: SingularFisher(
+        f"theta information is at the round-off floor (q11 = {nf.q11!r})"))
+    return sigma_n_sq / (2.0 * beta_sq * q11)
 
 
 def bundle_crb(
@@ -752,6 +754,8 @@ def bundle_fisher(
     A transmit error comes before a receive error.  On a grid the transmit
     and receive Grams are gathered into columns batch by batch
     (``_gram_columns``), and one reduction turns them into the blocks.
+    Called on a grid directly, it raises for the whole grid: per-point errors,
+    and the ``np.errstate`` hiding overflow warnings, come via ``fisher_columns``.
     """
     tx, row = _tx_grams(layout, model)
     if isinstance(geom, GeometryGrid):

@@ -675,8 +675,8 @@ def test_closed_form_points_keep_their_own_codes_in_one_grid(model, n_r, big_r):
     assert len({row["error_code"] for row in rows}) >= 2
 
 
-# grids with rows that the array tail hands back to the scalar path:
-# (config, points, codes the rows must reach)
+# grids with rows that the columns must fill as a single point's path
+# does: (config, points, codes the rows must reach)
 HANDED_BACK_GRIDS = {
     # the bundle route's broadside two-subarray hybrid: decoupled rows keep
     # their angle bound
@@ -690,16 +690,28 @@ HANDED_BACK_GRIDS = {
     # zero gain: every block gives domain_error, each kept error its own code
     "zero_gain": (ScenarioConfig(method="riemann", alpha=0j), CLOSED_FORM_POINTS,
                   {"domain_error", "singular_fisher", "singularity_near_pi2"}),
+    # the planar model with one receive element is range-blind everywhere:
+    # every valid row keeps its angle bound
+    "range_blind_planar": (ScenarioConfig(model="pw", N_r=1),
+                           [(10.0, -0.5), (10.0, 0.0), (10.0, 0.3), (0.0, 0.3), (10.0, 1.2)],
+                           {"singular_fisher", "domain_error"}),
 }
 
 
 @pytest.mark.parametrize("case", sorted(HANDED_BACK_GRIDS))
-def test_rows_the_array_tail_hands_back_keep_their_own_codes(case):
+def test_rows_the_array_tail_hands_back_keep_their_own_codes(monkeypatch, case):
     cfg, points, codes = HANDED_BACK_GRIDS[case]
+    one_point = []
+    bounds = experiment_cli._bounds
+    monkeypatch.setattr(experiment_cli, "_bounds",
+                        lambda *args: (one_point.append(args), bounds(*args))[1])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         rows = experiment_cli._rows_on_layout(cfg, points)
+        # no row of a grid takes the one-point path
+        assert one_point == []
         want = [run_point(replace(cfg, r=r, theta=theta)) for r, theta in points]
+    assert len(one_point) == len(points)
     assert_rows_equal(rows, want)
     assert {row["error_code"] for row in rows} == codes
     if case == "decoupled":

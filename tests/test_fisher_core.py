@@ -515,13 +515,15 @@ def test_crb_matches_explicit_two_by_two_inverse():
 
 
 def assert_crb_columns_match_points(blocks):
-    """crb on the blocks stacked as (5, P) columns: each point's bounds, word for word, or NaN where it raises.
+    """crb and crb_theta_only on the blocks stacked as (5, P) columns.
 
-    The gain and noise make sigma^2 / (2 beta^2) inexact, so the order of
-    the products shows in the bits.
+    Each column is its point's bounds, word for word, or NaN where the
+    point's call raises.  The gain and noise make sigma^2 / (2 beta^2)
+    inexact, so the order of the products shows in the bits.
     """
     columns = NormalizedFisher(*np.array([[getattr(nf, f) for f in NF_FIELDS] for nf in blocks]).T)
     got = crb(columns, 3.0, 0.7)
+    theta_only = crb_theta_only(columns, 3.0, 0.7)
     for p, nf in enumerate(blocks):
         want = outcome(crb, nf, 3.0, 0.7)
         cols = (got.crb_theta[p], got.crb_r[p])
@@ -529,6 +531,11 @@ def assert_crb_columns_match_points(blocks):
             assert np.isnan(cols).all(), p
         else:
             assert word_bits(cols) == word_bits((want.crb_theta, want.crb_r)), p
+        want = outcome(crb_theta_only, nf, 3.0, 0.7)
+        if isinstance(want, (DomainError, SingularFisher)):
+            assert np.isnan(theta_only[p]), p
+        else:
+            assert word_bits(theta_only[p]) == word_bits(want), p
 
 
 def test_crb_validation_and_floors():
@@ -599,6 +606,13 @@ def test_crb_theta_only_scalar_inverse():
     # round-off residue relative to q11 is tolerated
     residue = NormalizedFisher(q11=8.0, q12=8e-13, q22=0.0)
     assert crb_theta_only(residue, 1.0, 1.0) > 0.0
+    # a grid's columns get each point's bound, and NaN where it raises; a
+    # gain that is not positive raises for the whole grid, as for a point
+    assert_crb_columns_match_points([nf, coupled, floored, residue])
+    with pytest.raises(DomainError):
+        crb_theta_only(NormalizedFisher(*np.ones((5, 2))), 0.0, 1.0)
+    with pytest.raises(DomainError):
+        crb_theta_only(nf, 0.0, 1.0)
 
 
 def test_nan_block_is_singular():
@@ -611,6 +625,13 @@ def test_nan_block_is_singular():
         crb(NormalizedFisher(q11=5.0, q12=0.0, q22=nan), 1.0, 1.0)
     with pytest.raises(SingularFisher):
         crb_theta_only(NormalizedFisher(q11=nan, q12=0.0, q22=nan), 1.0, 1.0)
+    # a NaN q12 is not found coupled (abs(nan) > ... is false), so the angle
+    # bound stands, on a grid's columns as for a point
+    assert crb_theta_only(NormalizedFisher(q11=5.0, q12=nan, q22=0.0), 1.0, 1.0) > 0.0
+    assert_crb_columns_match_points([
+        NormalizedFisher(q11=nan, q12=nan, q22=nan), NormalizedFisher(q11=5.0, q12=0.0, q22=nan),
+        NormalizedFisher(q11=nan, q12=0.0, q22=nan), NormalizedFisher(q11=5.0, q12=nan, q22=0.0),
+    ])
 
 
 def test_received_gain_sq():
